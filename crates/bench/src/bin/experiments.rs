@@ -2252,34 +2252,43 @@ fn write_bench_perf_section(section: &str, body: &str) -> std::io::Result<String
 }
 
 /// Extracts the raw `{...}` object of a top-level `"name": {` key from the
-/// hand-rolled `BENCH_perf.json` (brace matching, skipping string literals).
-/// Returns `None` when the key is absent — e.g. an empty file, or the
-/// pre-section flat layout, which is simply superseded.
+/// hand-rolled `BENCH_perf.json` (depth tracking, skipping string
+/// literals).  Only keys of the outermost object match: a nested key of the
+/// same name (a monitor point's `"batch": 32`) is never taken for the
+/// section.  Returns `None` when the key is absent — e.g. an empty file, or
+/// the pre-section flat layout, which is simply superseded.
 fn extract_json_section(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":");
-    let at = text.find(&key)?;
-    let open = at + key.len() + text[at + key.len()..].find('{')?;
+    let key = format!("\"{name}\"");
     let mut depth = 0usize;
-    let mut in_string = false;
+    let mut string_start = None;
     let mut escaped = false;
-    for (i, c) in text[open..].char_indices() {
-        if in_string {
+    let mut section_open = None;
+    for (i, c) in text.char_indices() {
+        if let Some(start) = string_start {
             if escaped {
                 escaped = false;
             } else if c == '\\' {
                 escaped = true;
             } else if c == '"' {
-                in_string = false;
+                string_start = None;
+                if depth == 1 && section_open.is_none() && text[start..=i] == key {
+                    let value = text[i + 1..].trim_start().strip_prefix(':');
+                    if let Some(value) = value.map(str::trim_start) {
+                        if value.starts_with('{') {
+                            section_open = Some(text.len() - value.len());
+                        }
+                    }
+                }
             }
             continue;
         }
         match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(text[open..=open + i].to_string());
+            '"' => string_start = Some(i),
+            '{' | '[' => depth += 1,
+            '}' | ']' => {
+                depth = depth.checked_sub(1)?;
+                if let (Some(open), '}', 1) = (section_open, c, depth) {
+                    return Some(text[open..=i].to_string());
                 }
             }
             _ => {}
@@ -2318,4 +2327,37 @@ fn fig24(scale: Scale) {
     println!(
         "expected shape: amortizing the one-off index construction changes response times only marginally"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::extract_json_section;
+
+    #[test]
+    fn section_extraction_matches_top_level_keys_only() {
+        // The `batch` section is missing; the monitor points carry a nested
+        // `"batch": 32` that must not be captured as the section.
+        let text = "{\n  \"monitor\": {\"scale\": \"quick\", \"points\": [\n    \
+                    {\"queries\": 1000, \"updates\": 256, \"batch\": 32, \"speedup\": 22.7}\n  ]},\n  \
+                    \"update\": {\"scale\": \"quick\", \"note\": \"a \\\"batch\\\": {} string\"}\n}\n";
+        assert_eq!(extract_json_section(text, "batch"), None);
+        assert_eq!(
+            extract_json_section(text, "monitor").as_deref(),
+            Some(
+                "{\"scale\": \"quick\", \"points\": [\n    {\"queries\": 1000, \"updates\": 256, \
+                 \"batch\": 32, \"speedup\": 22.7}\n  ]}"
+            )
+        );
+        assert_eq!(
+            extract_json_section(text, "update").as_deref(),
+            Some("{\"scale\": \"quick\", \"note\": \"a \\\"batch\\\": {} string\"}")
+        );
+        // A top-level section after a nested key of the same name is found.
+        let text = "{\"monitor\": {\"batch\": {\"x\": 1}}, \"batch\": {\"scale\": \"quick\"}}";
+        assert_eq!(
+            extract_json_section(text, "batch").as_deref(),
+            Some("{\"scale\": \"quick\"}")
+        );
+        assert_eq!(extract_json_section("", "batch"), None);
+    }
 }

@@ -10,7 +10,7 @@
 
 use crate::admission::{AdmissionOptions, Stamp, Verdict};
 use crate::error::{ingest_error, ServeError};
-use crate::telemetry::{tier_index, LiveStats, ServeMetrics, SlowQuery, TIER_NAMES};
+use crate::telemetry::{tier_index, ServeMetrics, SlowQuery, TIER_NAMES};
 use crate::ShardedEngine;
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprResult, QueryStats, QueryTier};
 use kspr_approx::TieredResult;
@@ -183,14 +183,13 @@ fn add_engine_phase_spans(trace: &mut RequestTrace, engine: SpanId, stats: &Quer
 /// answers **exact jobs** grouped by `(algorithm, k)` through one
 /// `run_batch` call each and **approximate jobs** — batched separately —
 /// grouped by `(k, budget)` through one shared sampling sweep each.
-/// Every answered query's stage timings are recorded into `metrics`
-/// *before* its answer is sent, so a client that has its answer can always
-/// see its own query in the histograms.
+/// Every answered query's counters and stage timings are recorded into
+/// `metrics` *before* its answer is sent, so a client that has its answer
+/// can always see its own query in the stats and the histograms.
 pub(crate) fn run_jobs(
     engine: &ShardedEngine,
     jobs: Vec<QueryJob>,
     admission: &AdmissionOptions,
-    live: &LiveStats,
     metrics: &ServeMetrics,
     approx_seed: &mut u64,
 ) {
@@ -231,17 +230,17 @@ pub(crate) fn run_jobs(
                     job.tier = QueryTier::Approximate {
                         budget: admission.degrade_budget,
                     };
-                    live.degraded_to_approx.inc();
+                    metrics.count(|s| s.degraded_to_approx += 1);
                 }
             }
             Verdict::Reject(err) => {
-                live.reject(&err);
+                metrics.count(|s| s.reject(&err));
                 job.sink.reject(err);
                 continue;
             }
         }
         if let Err(err) = validate_query(engine, &job) {
-            live.reject(&err);
+            metrics.count(|s| s.reject(&err));
             job.sink.reject(err);
             continue;
         }
@@ -256,7 +255,7 @@ pub(crate) fn run_jobs(
         })) {
             Ok(budget) => budget,
             Err(_) => {
-                live.reject(&ServeError::QueryFailed);
+                metrics.count(|s| s.reject(&ServeError::QueryFailed));
                 job.sink.reject(ServeError::QueryFailed);
                 continue;
             }
@@ -326,15 +325,16 @@ pub(crate) fn run_jobs(
                     .iter_mut()
                     .map(|(_, trace, _)| trace.stamp(Stage::Engine))
                     .collect();
-                live.batches.inc();
-                live.queries.add(focals.len() as u64);
-                live.exact_queries.add(focals.len() as u64);
-                live.auto_routed_exact.add(auto_routed);
-                live.largest_batch.record(focals.len());
-                live.largest_intra_grant.record(intra_grant);
-                if intra_grant > 1 {
-                    live.parallel_batches.inc();
-                }
+                let answered = focals.len();
+                metrics.count(|s| {
+                    s.batches += 1;
+                    s.queries += answered as u64;
+                    s.exact_queries += answered as u64;
+                    s.auto_routed_exact += auto_routed;
+                    s.largest_batch = s.largest_batch.max(answered);
+                    s.largest_intra_grant = s.largest_intra_grant.max(intra_grant);
+                    s.parallel_batches += u64::from(intra_grant > 1);
+                });
                 for (((sink, mut trace, tier), result), engine_span) in
                     rest.into_iter().zip(results).zip(engine_spans)
                 {
@@ -361,7 +361,7 @@ pub(crate) fn run_jobs(
             }
             Err(_) => {
                 for (sink, _, _) in rest {
-                    live.reject(&ServeError::QueryFailed);
+                    metrics.count(|s| s.reject(&ServeError::QueryFailed));
                     sink.reject(ServeError::QueryFailed);
                 }
             }
@@ -387,11 +387,14 @@ pub(crate) fn run_jobs(
                 for (_, trace, _, _) in &mut rest {
                     trace.stamp(Stage::Engine);
                 }
-                live.batches.inc();
-                live.queries.add(focals.len() as u64);
-                live.approx_queries.add(focals.len() as u64);
-                live.auto_routed_approx.add(auto_routed);
-                live.largest_batch.record(focals.len());
+                let answered = focals.len();
+                metrics.count(|s| {
+                    s.batches += 1;
+                    s.queries += answered as u64;
+                    s.approx_queries += answered as u64;
+                    s.auto_routed_approx += auto_routed;
+                    s.largest_batch = s.largest_batch.max(answered);
+                });
                 for ((sink, mut trace, tier, algorithm), estimate) in
                     rest.into_iter().zip(estimates)
                 {
@@ -416,7 +419,7 @@ pub(crate) fn run_jobs(
             }
             Err(_) => {
                 for (sink, _, _, _) in rest {
-                    live.reject(&ServeError::QueryFailed);
+                    metrics.count(|s| s.reject(&ServeError::QueryFailed));
                     sink.reject(ServeError::QueryFailed);
                 }
             }

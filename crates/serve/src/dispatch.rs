@@ -14,7 +14,7 @@ use crate::error::{ingest_error, register_error, ServeError};
 use crate::persist::{snapshot_of, Persist};
 use crate::stats::ServeStats;
 use crate::subscription::{ApproxDelta, ApproxStanding, ApproxWatchId, DeltaPush, DeltaQueue};
-use crate::telemetry::{LiveStats, ServeMetrics};
+use crate::telemetry::ServeMetrics;
 use crate::ShardedEngine;
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprResult, RecordId};
 use kspr_durable::WalRecord;
@@ -69,9 +69,6 @@ pub(crate) enum Msg {
     },
     ApproxSubscriptions {
         tx: mpsc::Sender<Result<usize, ServeError>>,
-    },
-    Stats {
-        tx: mpsc::Sender<Result<ServeStats, ServeError>>,
     },
     Shutdown,
 }
@@ -132,10 +129,6 @@ pub(crate) fn reject_msg(msg: Msg, err: &ServeError) -> u64 {
             let _ = tx.send(Err(err.clone()));
             1
         }
-        Msg::Stats { tx } => {
-            let _ = tx.send(Err(err.clone()));
-            1
-        }
         Msg::Shutdown => 0,
     }
 }
@@ -148,9 +141,8 @@ pub(crate) struct DispatchConfig {
     pub(crate) admission: crate::admission::AdmissionOptions,
     pub(crate) persist: Option<Persist>,
     pub(crate) monitor: Monitor,
-    /// The atomic counter mirror shared with every [`crate::ServeHandle`].
-    pub(crate) live: Arc<LiveStats>,
-    /// The latency histograms, WAL gauges, and slow-query log.
+    /// The serving counters, latency histograms, WAL gauges, and
+    /// slow-query log, shared with every [`crate::ServeHandle`].
     pub(crate) metrics: Arc<ServeMetrics>,
 }
 
@@ -162,20 +154,25 @@ pub(crate) struct DispatchConfig {
 fn notify(
     subscribers: &HashMap<QueryId, Arc<DeltaQueue>>,
     deltas: Vec<ResultDelta>,
-    live: &LiveStats,
+    metrics: &ServeMetrics,
 ) {
+    let (mut delivered, mut coalesced) = (0, 0);
     for delta in deltas {
         if let Some(queue) = subscribers.get(&delta.query) {
             match queue.push(delta) {
-                DeltaPush::Queued => live.notifications.inc(),
+                DeltaPush::Queued => delivered += 1,
                 DeltaPush::Coalesced => {
-                    live.notifications.inc();
-                    live.deltas_coalesced.inc();
+                    delivered += 1;
+                    coalesced += 1;
                 }
                 DeltaPush::Closed => {}
             }
         }
     }
+    metrics.count(|s| {
+        s.notifications += delivered;
+        s.deltas_coalesced += coalesced;
+    });
 }
 
 /// Runs the standing-query maintenance for one *already committed and
@@ -193,17 +190,17 @@ fn notify(
 fn maintain_standing(
     monitor: &mut Monitor,
     subscribers: &mut HashMap<QueryId, Arc<DeltaQueue>>,
-    live: &LiveStats,
+    metrics: &ServeMetrics,
     apply: impl FnOnce(&mut Monitor) -> Vec<ResultDelta>,
 ) {
     if monitor.is_empty() {
         return;
     }
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apply(monitor))) {
-        Ok(deltas) => notify(subscribers, deltas, live),
+        Ok(deltas) => notify(subscribers, deltas, metrics),
         Err(_) => {
             // Not a rejection — no client request failed; track separately.
-            live.maintenance_failures.inc();
+            metrics.count(|s| s.maintenance_failures += 1);
             monitor.clear();
             for queue in subscribers.values() {
                 queue.close();
@@ -224,7 +221,7 @@ fn maintain_standing(
 fn maintain_approx_watch(
     engine: &ShardedEngine,
     watch: &mut HashMap<ApproxWatchId, ApproxStanding>,
-    live: &LiveStats,
+    metrics: &ServeMetrics,
     values: &[f64],
     approx_seed: &mut u64,
 ) {
@@ -260,7 +257,7 @@ fn maintain_approx_watch(
     }));
     match outcome {
         Ok((updates, unaffected)) => {
-            live.approx_watch_unaffected.add(unaffected);
+            let mut delivered = 0;
             for (id, fresh) in updates {
                 let standing = watch.get_mut(&id).expect("maintained id is registered");
                 let before = std::mem::replace(&mut standing.estimate, fresh.clone());
@@ -270,12 +267,16 @@ fn maintain_approx_watch(
                     after: fresh,
                 };
                 if standing.deltas.send(delta).is_ok() {
-                    live.approx_notifications.inc();
+                    delivered += 1;
                 }
             }
+            metrics.count(|s| {
+                s.approx_watch_unaffected += unaffected;
+                s.approx_notifications += delivered;
+            });
         }
         Err(_) => {
-            live.maintenance_failures.inc();
+            metrics.count(|s| s.maintenance_failures += 1);
             watch.clear();
         }
     }
@@ -318,9 +319,8 @@ fn finish_update_trace(mut trace: RequestTrace, metrics: &ServeMetrics, durable:
 }
 
 impl StagedAck {
-    /// Acknowledges the applied update.
-    fn resolve(self, live: &LiveStats, metrics: &ServeMetrics, durable: bool) {
-        live.updates.inc();
+    /// Acknowledges the applied update (already counted by the caller).
+    fn resolve(self, metrics: &ServeMetrics, durable: bool) {
         match self {
             StagedAck::Insert(tx, id, trace) => {
                 finish_update_trace(trace, metrics, durable);
@@ -335,8 +335,8 @@ impl StagedAck {
 
     /// Fails the applied-but-uncommitted update (its WAL commit failed; the
     /// server stops, so the in-memory application is never observable).
-    fn fail(self, live: &LiveStats) {
-        live.reject(&ServeError::UpdateFailed);
+    fn fail(self, metrics: &ServeMetrics) {
+        metrics.count(|s| s.reject(&ServeError::UpdateFailed));
         match self {
             StagedAck::Insert(tx, _, _) => drop(tx.send(Err(ServeError::UpdateFailed))),
             StagedAck::Delete(tx, _, _) => drop(tx.send(Err(ServeError::UpdateFailed))),
@@ -357,7 +357,6 @@ pub(crate) fn dispatch(
         admission,
         mut persist,
         mut monitor,
-        live,
         metrics,
     } = config;
     let mut carry: VecDeque<Msg> = VecDeque::new();
@@ -449,14 +448,14 @@ pub(crate) fn dispatch(
                                         // shard state half-applied; stop
                                         // serving cleanly instead of risking
                                         // corrupt answers (see UpdateFailed).
-                                        live.reject(&ServeError::UpdateFailed);
+                                        metrics.count(|s| s.reject(&ServeError::UpdateFailed));
                                         let _ = tx.send(Err(ServeError::UpdateFailed));
                                         update_failed = true;
                                     }
                                 }
                             }
                             Err(err) => {
-                                live.reject(&err);
+                                metrics.count(|s| s.reject(&err));
                                 let _ = tx.send(Err(err));
                             }
                         },
@@ -485,7 +484,7 @@ pub(crate) fn dispatch(
                                     }
                                 }
                                 Err(_) => {
-                                    live.reject(&ServeError::UpdateFailed);
+                                    metrics.count(|s| s.reject(&ServeError::UpdateFailed));
                                     let _ = tx.send(Err(ServeError::UpdateFailed));
                                     update_failed = true;
                                 }
@@ -502,37 +501,28 @@ pub(crate) fn dispatch(
                 // always replayable.  A failed commit fails the whole
                 // batch's staged acks (their in-memory application is never
                 // observable — the server stops) and stops serving.
-                let applied = acks.len();
                 let durable = persist.is_some();
                 if let Some(persist) = persist.as_mut() {
-                    if !acks.is_empty() {
-                        match persist.commit() {
-                            Ok(()) => {
-                                live.wal_commits.inc();
-                                metrics.wal_committed(
-                                    persist.wal_bytes(),
-                                    persist.last_commit_nanos(),
-                                    persist.synced(),
-                                );
-                            }
-                            Err(_) => {
-                                for ack in acks.drain(..) {
-                                    ack.fail(&live);
-                                }
-                                update_failed = true;
-                            }
+                    if persist.commit(&metrics).is_err() {
+                        for ack in acks.drain(..) {
+                            ack.fail(&metrics);
                         }
+                        update_failed = true;
                     }
                 }
+                let applied = acks.len();
+                if applied > 0 {
+                    metrics.count(|s| {
+                        s.updates += applied as u64;
+                        s.update_batches += 1;
+                        s.largest_update_batch = s.largest_update_batch.max(applied);
+                    });
+                }
                 for ack in acks {
-                    ack.resolve(&live, &metrics, durable);
+                    ack.resolve(&metrics, durable);
                 }
                 if update_failed {
                     break;
-                }
-                if applied > 0 {
-                    live.update_batches.inc();
-                    live.largest_update_batch.record(applied);
                 }
                 if !batch.is_empty() {
                     // The monitor runs on the dispatcher thread, so the
@@ -544,14 +534,14 @@ pub(crate) fn dispatch(
                     // stop serving.  One maintenance pass covers the whole
                     // drained batch.
                     let pass = Instant::now();
-                    maintain_standing(&mut monitor, &mut subscribers, &live, |monitor| {
+                    maintain_standing(&mut monitor, &mut subscribers, &metrics, |monitor| {
                         monitor.apply_batch(&engine, &batch)
                     });
                     for (_, values) in &batch {
                         maintain_approx_watch(
                             &engine,
                             &mut approx_watch,
-                            &live,
+                            &metrics,
                             values,
                             &mut approx_seed,
                         );
@@ -560,7 +550,7 @@ pub(crate) fn dispatch(
                     // no single request to trace), and the refreshed
                     // monitor stats are published for non-blocking reads.
                     metrics.record_maintenance(pass.elapsed());
-                    live.set_monitor(monitor.stats());
+                    metrics.count(|s| s.monitor = monitor.stats());
                 }
                 // Background compaction: once dead record slots exceed half
                 // the id space, rewrite the shards down to their live
@@ -576,29 +566,21 @@ pub(crate) fn dispatch(
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.compact()));
                     match outcome {
                         Ok(_) => {
-                            live.compactions.inc();
+                            metrics.count(|s| s.compactions += 1);
                             if let Some(persist) = persist.as_mut() {
-                                match persist.install(&snapshot_of(&engine, &monitor)) {
-                                    Ok(()) => {
-                                        live.snapshots.inc();
-                                        metrics.snapshot_installed(
-                                            persist.wal_bytes(),
-                                            persist.snapshot_epoch(),
-                                        );
-                                    }
-                                    Err(_) => {
-                                        // The durable directory is no longer
-                                        // writable; refuse to keep acknowledging
-                                        // updates that could not be replayed.
-                                        live.reject(&ServeError::UpdateFailed);
-                                        update_failed = true;
-                                        break;
-                                    }
+                                let state = snapshot_of(&engine, &monitor);
+                                if persist.install(&state, &metrics).is_err() {
+                                    // The durable directory is no longer
+                                    // writable; refuse to keep acknowledging
+                                    // updates that could not be replayed.
+                                    metrics.count(|s| s.reject(&ServeError::UpdateFailed));
+                                    update_failed = true;
+                                    break;
                                 }
                             }
                         }
                         Err(_) => {
-                            live.reject(&ServeError::UpdateFailed);
+                            metrics.count(|s| s.reject(&ServeError::UpdateFailed));
                             update_failed = true;
                             break;
                         }
@@ -630,20 +612,10 @@ pub(crate) fn dispatch(
                                 focal,
                                 k,
                             });
-                            match persist.commit() {
-                                Ok(()) => {
-                                    live.wal_commits.inc();
-                                    metrics.wal_committed(
-                                        persist.wal_bytes(),
-                                        persist.last_commit_nanos(),
-                                        persist.synced(),
-                                    );
-                                }
-                                Err(_) => committed = false,
-                            }
+                            committed = persist.commit(&metrics).is_ok();
                         }
                         if committed {
-                            live.subscriptions.inc();
+                            metrics.count(|s| s.subscriptions += 1);
                             let initial = monitor
                                 .result(id)
                                 .expect("freshly registered query has a result")
@@ -652,7 +624,7 @@ pub(crate) fn dispatch(
                             let _ = tx.send(Ok((id, initial)));
                         } else {
                             monitor.unregister(id);
-                            live.reject(&ServeError::UpdateFailed);
+                            metrics.count(|s| s.reject(&ServeError::UpdateFailed));
                             let _ = tx.send(Err(ServeError::UpdateFailed));
                             update_failed = true;
                             break;
@@ -660,11 +632,11 @@ pub(crate) fn dispatch(
                     }
                     Ok(Err(err)) => {
                         let err = register_error(err);
-                        live.reject(&err);
+                        metrics.count(|s| s.reject(&err));
                         let _ = tx.send(Err(err));
                     }
                     Err(_) => {
-                        live.reject(&ServeError::QueryFailed);
+                        metrics.count(|s| s.reject(&ServeError::QueryFailed));
                         let _ = tx.send(Err(ServeError::QueryFailed));
                     }
                 }
@@ -679,17 +651,7 @@ pub(crate) fn dispatch(
                 if removed {
                     if let Some(persist) = persist.as_mut() {
                         persist.append(&WalRecord::Unsubscribe { id });
-                        match persist.commit() {
-                            Ok(()) => {
-                                live.wal_commits.inc();
-                                metrics.wal_committed(
-                                    persist.wal_bytes(),
-                                    persist.last_commit_nanos(),
-                                    persist.synced(),
-                                );
-                            }
-                            Err(_) => committed = false,
-                        }
+                        committed = persist.commit(&metrics).is_ok();
                     }
                 }
                 if committed {
@@ -697,7 +659,7 @@ pub(crate) fn dispatch(
                         let _ = tx.send(Ok(removed));
                     }
                 } else {
-                    live.reject(&ServeError::UpdateFailed);
+                    metrics.count(|s| s.reject(&ServeError::UpdateFailed));
                     if let Some(tx) = tx {
                         let _ = tx.send(Err(ServeError::UpdateFailed));
                     }
@@ -747,7 +709,7 @@ pub(crate) fn dispatch(
                                 // re-subscribe after a crash.
                                 let id = next_approx_id;
                                 next_approx_id += 1;
-                                live.approx_subscriptions.inc();
+                                metrics.count(|s| s.approx_subscriptions += 1);
                                 approx_watch.insert(
                                     id,
                                     ApproxStanding {
@@ -761,13 +723,13 @@ pub(crate) fn dispatch(
                                 let _ = tx.send(Ok((id, initial)));
                             }
                             Err(_) => {
-                                live.reject(&ServeError::QueryFailed);
+                                metrics.count(|s| s.reject(&ServeError::QueryFailed));
                                 let _ = tx.send(Err(ServeError::QueryFailed));
                             }
                         }
                     }
                     Err(err) => {
-                        live.reject(&err);
+                        metrics.count(|s| s.reject(&err));
                         let _ = tx.send(Err(err));
                     }
                 }
@@ -780,11 +742,6 @@ pub(crate) fn dispatch(
             }
             Msg::ApproxSubscriptions { tx } => {
                 let _ = tx.send(Ok(approx_watch.len()));
-            }
-            Msg::Stats { tx } => {
-                let mut snapshot = live.snapshot();
-                snapshot.monitor = monitor.stats();
-                let _ = tx.send(Ok(snapshot));
             }
             Msg::Query(job) => {
                 // Batched dequeue: greedily pull further *consecutive*
@@ -805,18 +762,9 @@ pub(crate) fn dispatch(
                         Err(_) => break,
                     }
                 }
-                run_jobs(
-                    &engine,
-                    batch,
-                    &admission,
-                    &live,
-                    &metrics,
-                    &mut approx_seed,
-                );
+                run_jobs(&engine, batch, &admission, &metrics, &mut approx_seed);
             }
-            Msg::Batch(jobs) => {
-                run_jobs(&engine, jobs, &admission, &live, &metrics, &mut approx_seed)
-            }
+            Msg::Batch(jobs) => run_jobs(&engine, jobs, &admission, &metrics, &mut approx_seed),
         }
     }
     if !update_failed {
@@ -831,7 +779,7 @@ pub(crate) fn dispatch(
         }
         for msg in drained {
             for _ in 0..reject_msg(msg, &ServeError::Shutdown) {
-                live.reject(&ServeError::Shutdown);
+                metrics.count(|s| s.reject(&ServeError::Shutdown));
             }
         }
         // A clean shutdown is an epoch boundary: persist the final state so
@@ -839,14 +787,10 @@ pub(crate) fn dispatch(
         // commit happens before its batch is acknowledged.)
         if shutting_down {
             if let Some(persist) = persist.as_mut() {
-                if persist
-                    .commit()
-                    .and_then(|()| persist.install(&snapshot_of(&engine, &monitor)))
-                    .is_ok()
-                {
-                    live.snapshots.inc();
-                    metrics.snapshot_installed(persist.wal_bytes(), persist.snapshot_epoch());
-                }
+                let state = snapshot_of(&engine, &monitor);
+                let _ = persist
+                    .commit(&metrics)
+                    .and_then(|()| persist.install(&state, &metrics));
             }
         }
     }
@@ -855,6 +799,6 @@ pub(crate) fn dispatch(
     for queue in subscribers.values() {
         queue.close();
     }
-    live.set_monitor(monitor.stats());
-    (engine, live.snapshot())
+    metrics.count(|s| s.monitor = monitor.stats());
+    (engine, metrics.stats())
 }

@@ -49,6 +49,12 @@
 //!   installs epoch snapshots; [`Server::recover`] rebuilds engine and
 //!   registry bit-identically after a crash.
 //!
+//! [`ServeStats`] is the one counter store.  The dispatcher updates it
+//! before each acknowledgement, and every read surface —
+//! [`ServeHandle::stats_now`], the `kspr_*` series of
+//! [`ServeHandle::metrics`], the wire `Stats` reply — reads it through the
+//! one name listing [`ServeStats::fields`].
+//!
 //! ```
 //! use kspr::{Algorithm, KsprConfig};
 //! use kspr_serve::{ServeOptions, Server, ShardedEngine};

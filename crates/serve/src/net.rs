@@ -262,31 +262,6 @@ fn approx_summary(estimate: &kspr::ApproxImpact) -> ApproxSummary {
     }
 }
 
-/// The stable name/value listing behind `WireRequest::Stats`.
-fn stat_fields(stats: &crate::ServeStats) -> Vec<(String, u64)> {
-    [
-        ("queries", stats.queries),
-        ("exact_queries", stats.exact_queries),
-        ("approx_queries", stats.approx_queries),
-        ("degraded_to_approx", stats.degraded_to_approx),
-        ("rejected", stats.rejected),
-        ("rejected_overloaded", stats.rejections.overloaded),
-        ("rejected_quota", stats.rejections.quota_exceeded),
-        ("rejected_shutdown", stats.rejections.shutdown),
-        ("batches", stats.batches),
-        ("updates", stats.updates),
-        ("update_batches", stats.update_batches),
-        ("wal_commits", stats.wal_commits),
-        ("snapshots", stats.snapshots),
-        ("compactions", stats.compactions),
-        ("subscriptions", stats.subscriptions),
-        ("notifications", stats.notifications),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name.to_owned(), value))
-    .collect()
-}
-
 /// Serves one decoded request through the handle.  `trace` rides along
 /// into the dispatcher on the submission paths (query / tiered / insert /
 /// delete) so the whole request becomes one span tree; the control-plane
@@ -385,10 +360,10 @@ fn answer(
             Err(err) => error_of(err),
         },
         WireRequest::Stats => WireResponse::Stats {
-            // Served from the shared atomic mirror: no round-trip through
-            // the dispatcher queue, so a stats probe is never stuck behind
-            // a long batch.
-            fields: stat_fields(&handle.stats_now()),
+            // Every counter of `ServeStats::fields`, copied from the shared
+            // store: no round-trip through the dispatcher queue, so a stats
+            // probe is never stuck behind a long batch.
+            fields: handle.stats_now().fields(),
         },
         WireRequest::Metrics => {
             let snap = handle.metrics();

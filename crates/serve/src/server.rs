@@ -36,6 +36,9 @@
 //! between batches.  Invalid requests (`k == 0`, arity mismatch, non-finite
 //! focal values) are rejected with a [`ServeError`] instead of panicking the
 //! serving thread; [`ServeStats`] counts every rejection per error variant.
+//! The counters are read without queueing through
+//! [`ServeHandle::stats_now`] and [`ServeHandle::metrics`]: the dispatcher
+//! publishes a request's counters before it acknowledges the request.
 //!
 //! Every query is stamped at enqueue with the pending-queue depth and its
 //! client's in-flight count; the dispatcher judges the stamp against
@@ -90,7 +93,7 @@ use crate::persist::{recover_state, snapshot_of, Persist, RecoverError};
 use crate::sharded::ShardedEngine;
 use crate::stats::ServeStats;
 use crate::subscription::{ApproxSubscribeTicket, ApproxWatchId, DeltaQueue, SubscribeTicket};
-use crate::telemetry::{LiveStats, ServeMetrics, SlowQuery};
+use crate::telemetry::{ServeMetrics, SlowQuery};
 use kspr::{Algorithm, ApproxImpact, ErrorBudget, KsprConfig, KsprResult, QueryTier, RecordId};
 use kspr_approx::TieredResult;
 use kspr_durable::DurableStore;
@@ -119,21 +122,11 @@ pub struct ServeOptions {
     /// this threshold are retained in the slow-query log (the
     /// [`crate::SLOW_LOG_CAPACITY`] most recent; read through
     /// [`ServeHandle::slow_queries`]).  `None` (the default) disables the
-    /// log; `Some(Duration::ZERO)` retains every query.
+    /// log; `Some(Duration::ZERO)` retains every query.  Server-traced
+    /// requests past the threshold also enter the flight recorder (the
+    /// [`crate::FLIGHT_RECORDER_CAPACITY`] most recent retained traces);
+    /// client-pinned traces always do.
     pub slow_query_threshold: Option<Duration>,
-    /// WAL size watermark, bytes: once the live WAL (the `kspr_wal_bytes`
-    /// gauge) grows past this, the server logs one warning per snapshot
-    /// epoch suggesting a compaction.  Default 64 MiB.
-    pub wal_warn_bytes: u64,
-    /// How many [`SlowQuery`] entries the slow-query log retains before
-    /// evicting oldest-first.  Default [`crate::SLOW_LOG_CAPACITY`].
-    pub slow_log_capacity: usize,
-    /// How many complete span trees the flight recorder retains (most
-    /// recent wins).  Traced requests enter the recorder when the client
-    /// pinned them with a wire trace id or when they crossed
-    /// [`ServeOptions::slow_query_threshold`].  Default
-    /// [`crate::FLIGHT_RECORDER_CAPACITY`].
-    pub flight_recorder_capacity: usize,
 }
 
 impl Default for ServeOptions {
@@ -143,9 +136,6 @@ impl Default for ServeOptions {
             batch_limit: 64,
             admission: AdmissionOptions::default(),
             slow_query_threshold: None,
-            wal_warn_bytes: 64 << 20,
-            slow_log_capacity: crate::SLOW_LOG_CAPACITY,
-            flight_recorder_capacity: crate::FLIGHT_RECORDER_CAPACITY,
         }
     }
 }
@@ -162,7 +152,6 @@ pub struct ServeHandle {
     queue: Arc<AtomicUsize>,
     client: Arc<AtomicUsize>,
     closing: Arc<AtomicBool>,
-    live: Arc<LiveStats>,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -202,7 +191,6 @@ impl ServeHandle {
             queue: Arc::clone(&self.queue),
             client: Arc::new(AtomicUsize::new(0)),
             closing: Arc::clone(&self.closing),
-            live: Arc::clone(&self.live),
             metrics: Arc::clone(&self.metrics),
         }
     }
@@ -447,22 +435,14 @@ impl ServeHandle {
         ticket
     }
 
-    /// A live snapshot of the serving counters, serialized with the
-    /// requests around it.
-    pub fn stats(&self) -> Ticket<ServeStats> {
-        let (tx, ticket) = Ticket::new();
-        self.enqueue(Msg::Stats { tx });
-        ticket
-    }
-
     /// A live snapshot of the serving counters **without queueing behind the
-    /// dispatcher**: read directly from the shared atomic counters, so it
-    /// returns immediately even while the dispatcher is deep in a long
-    /// batch.  Every counter a finished request contributed is visible (the
+    /// dispatcher**: a copy of the shared [`ServeStats`], so it returns
+    /// immediately even while the dispatcher is deep in a long batch.
+    /// Every counter a finished request contributed is visible (the
     /// dispatcher publishes counters before acknowledgements); requests
     /// still in flight may or may not be counted yet.
     pub fn stats_now(&self) -> ServeStats {
-        self.live.snapshot()
+        self.metrics.stats()
     }
 
     /// A live [`MetricsSnapshot`] of every counter, gauge and latency
@@ -470,10 +450,8 @@ impl ServeHandle {
     /// per-algorithm latency distributions included.  Non-blocking, like
     /// [`ServeHandle::stats_now`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(
-            self.queue.load(Ordering::Relaxed) as u64,
-            &self.live.snapshot(),
-        )
+        self.metrics
+            .snapshot(self.queue.load(Ordering::Relaxed) as u64)
     }
 
     /// The retained slow-query log, oldest first (empty unless
@@ -485,7 +463,7 @@ impl ServeHandle {
     /// The flight recorder's retained span trees, oldest first: every
     /// client-pinned trace plus every traced request that crossed the
     /// slow-query threshold, most recent
-    /// [`ServeOptions::flight_recorder_capacity`] wins.
+    /// [`crate::FLIGHT_RECORDER_CAPACITY`] win.
     pub fn traces(&self) -> Vec<Arc<TraceRecord>> {
         self.metrics.traces()
     }
@@ -506,12 +484,8 @@ impl ServeHandle {
 
 /// A running serving loop that owns a [`ShardedEngine`].
 pub struct Server {
-    tx: mpsc::Sender<Msg>,
-    algorithm: Algorithm,
-    queue: Arc<AtomicUsize>,
-    closing: Arc<AtomicBool>,
-    live: Arc<LiveStats>,
-    metrics: Arc<ServeMetrics>,
+    /// The template every [`Server::handle`] forks from.
+    handle: ServeHandle,
     join: Option<JoinHandle<(ShardedEngine, ServeStats)>>,
 }
 
@@ -580,29 +554,24 @@ impl Server {
             );
         }
         let (tx, rx) = mpsc::channel();
-        let live = Arc::new(LiveStats::default());
-        let metrics = Arc::new(ServeMetrics::new(
-            options.slow_query_threshold,
-            options.wal_warn_bytes,
-            options.slow_log_capacity,
-            options.flight_recorder_capacity,
-        ));
+        let metrics = Arc::new(ServeMetrics::new(options.slow_query_threshold));
         let config = DispatchConfig {
             batch_limit: options.batch_limit,
             admission: options.admission,
             persist,
             monitor,
-            live: Arc::clone(&live),
             metrics: Arc::clone(&metrics),
         };
         let join = std::thread::spawn(move || dispatch(engine, rx, config));
         Self {
-            tx,
-            algorithm: options.algorithm,
-            queue: Arc::new(AtomicUsize::new(0)),
-            closing: Arc::new(AtomicBool::new(false)),
-            live,
-            metrics,
+            handle: ServeHandle {
+                tx,
+                algorithm: options.algorithm,
+                queue: Arc::new(AtomicUsize::new(0)),
+                client: Arc::new(AtomicUsize::new(0)),
+                closing: Arc::new(AtomicBool::new(false)),
+                metrics,
+            },
             join: Some(join),
         }
     }
@@ -610,15 +579,15 @@ impl Server {
     /// A new client handle (its own admission identity; `clone` the handle
     /// to share it, [`ServeHandle::fork_client`] to split it).
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle {
-            tx: self.tx.clone(),
-            algorithm: self.algorithm,
-            queue: Arc::clone(&self.queue),
-            client: Arc::new(AtomicUsize::new(0)),
-            closing: Arc::clone(&self.closing),
-            live: Arc::clone(&self.live),
-            metrics: Arc::clone(&self.metrics),
-        }
+        self.handle.fork_client()
+    }
+
+    /// Tells the dispatcher to stop.  The flag is raised *before* the
+    /// message is sent: a handle that observes the closed channel
+    /// afterwards then reports an orderly `Shutdown`, not a crash.
+    fn signal_stop(&self) {
+        self.handle.closing.store(true, Ordering::Release);
+        let _ = self.handle.tx.send(Msg::Shutdown);
     }
 
     /// Stops the dispatcher and returns the engine with the serving
@@ -627,11 +596,7 @@ impl Server {
     /// server the final state is snapshotted so the next start replays
     /// nothing.
     pub fn shutdown(mut self) -> (ShardedEngine, ServeStats) {
-        // Raise the flag *before* the dispatcher is told to stop: a handle
-        // that observes the closed channel afterwards then reports an
-        // orderly `Shutdown`, not a crash.
-        self.closing.store(true, Ordering::Release);
-        let _ = self.tx.send(Msg::Shutdown);
+        self.signal_stop();
         self.join
             .take()
             .expect("shutdown consumes the only join handle")
@@ -643,8 +608,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if let Some(join) = self.join.take() {
-            self.closing.store(true, Ordering::Release);
-            let _ = self.tx.send(Msg::Shutdown);
+            self.signal_stop();
             let _ = join.join();
         }
     }
@@ -1458,7 +1422,6 @@ mod tests {
             handle.subscribe(vec![0.5, 0.5, 0.7], 2).wait().unwrap_err(),
             ServeError::Shutdown
         );
-        assert_eq!(handle.stats().wait().unwrap_err(), ServeError::Shutdown);
     }
 
     #[test]
@@ -1477,9 +1440,10 @@ mod tests {
         // request that slips into the channel *behind* the shutdown message
         // (the flag check and the send are not one atomic step).  The
         // dispatcher must drain and resolve it, never leave it hanging.
-        server.tx.send(Msg::Shutdown).unwrap();
+        server.handle.tx.send(Msg::Shutdown).unwrap();
         let (tx, query) = T::new();
         server
+            .handle
             .tx
             .send(Msg::Query(QueryJob {
                 algorithm: Algorithm::LpCta,
@@ -1493,6 +1457,7 @@ mod tests {
             .unwrap();
         let (tx, insert) = T::new();
         server
+            .handle
             .tx
             .send(Msg::Insert {
                 values: vec![0.5, 0.5, 0.7],
@@ -1613,13 +1578,37 @@ mod tests {
     }
 
     #[test]
-    fn live_stats_are_served_in_request_order() {
+    fn stats_now_counts_each_request_before_its_ack() {
         let server = Server::start(demo_engine(2), ServeOptions::default());
         let handle = server.handle();
-        handle.submit(vec![0.5, 0.5, 0.7], 2).wait().expect("query");
-        let live = handle.stats().wait().expect("live stats");
-        assert_eq!(live.queries, 1);
+        let focal = vec![0.5, 0.5, 0.7];
+        // Each read follows its ticket's resolution: the dispatcher must
+        // have published the request's counters before acknowledging it.
+        handle.submit(focal.clone(), 2).wait().expect("query");
+        let stats = handle.stats_now();
+        assert_eq!((stats.queries, stats.exact_queries), (1, 1));
+        handle
+            .submit_approx(focal.clone(), 2, kspr::ErrorBudget::new(0.1, 0.9))
+            .wait()
+            .expect("approx query");
+        let stats = handle.stats_now();
+        assert_eq!((stats.queries, stats.approx_queries), (2, 1));
+        let id = handle.insert(vec![0.6, 0.6, 0.6]).wait().expect("insert");
+        assert_eq!(handle.stats_now().updates, 1);
+        assert_eq!(handle.delete(id).wait(), Ok(true));
+        assert_eq!(handle.stats_now().updates, 2);
+        assert_eq!(
+            handle.submit(focal, 0).wait().unwrap_err(),
+            ServeError::InvalidK
+        );
+        let stats = handle.stats_now();
+        assert_eq!((stats.rejected, stats.rejections.invalid_k), (1, 1));
         let (_, after) = server.shutdown();
-        assert_eq!(after.queries, 1);
+        assert_eq!(after.queries, 2);
+        assert_eq!(
+            handle.stats_now(),
+            after,
+            "shutdown returns the same store the handles read"
+        );
     }
 }

@@ -1,5 +1,11 @@
 //! Serving-side counters: per-variant rejection counts and the aggregate
 //! [`ServeStats`] every layer of the stack reports into.
+//!
+//! [`ServeStats`] is the only counter store.  The dispatcher is its sole
+//! writer (through the server's metrics, under a mutex); every read surface
+//! — `ServeHandle::stats_now`, the `kspr_*` series of
+//! `ServeHandle::metrics`, and the wire `Stats` reply — reads one copy of
+//! it through the single name listing [`ServeStats::fields`].
 
 use crate::error::ServeError;
 use kspr_monitor::MonitorStats;
@@ -83,48 +89,10 @@ impl RejectionStats {
     pub fn total(&self) -> u64 {
         self.variants().iter().map(|&(_, count)| count).sum()
     }
-
-    /// Index of `err`'s counter in [`RejectionStats::variants`] order (the
-    /// live atomic mirror of the dispatcher counts through this).
-    pub(crate) fn index_of(err: &ServeError) -> usize {
-        match err {
-            ServeError::InvalidK => 0,
-            ServeError::ArityMismatch { .. } => 1,
-            ServeError::NonFinite => 2,
-            ServeError::InvalidBudget => 3,
-            ServeError::UnsupportedAlgorithm => 4,
-            ServeError::QueryFailed => 5,
-            ServeError::UpdateFailed => 6,
-            ServeError::Overloaded => 7,
-            ServeError::QuotaExceeded => 8,
-            ServeError::Shutdown => 9,
-            ServeError::ServerClosed => 10,
-        }
-    }
-
-    /// Rebuilds the per-variant counters from values listed in
-    /// [`RejectionStats::variants`] order.
-    pub(crate) fn from_counts(counts: [u64; REJECTION_VARIANTS]) -> Self {
-        let [invalid_k, arity_mismatch, non_finite, invalid_budget, unsupported_algorithm, query_failed, update_failed, overloaded, quota_exceeded, shutdown, server_closed] =
-            counts;
-        Self {
-            invalid_k,
-            arity_mismatch,
-            non_finite,
-            invalid_budget,
-            unsupported_algorithm,
-            query_failed,
-            update_failed,
-            overloaded,
-            quota_exceeded,
-            shutdown,
-            server_closed,
-        }
-    }
 }
 
 /// Serving-side counters, returned by [`crate::Server::shutdown`] and
-/// readable live through [`crate::ServeHandle::stats`].
+/// readable live through [`crate::ServeHandle::stats_now`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Queries answered successfully.
@@ -210,6 +178,104 @@ pub struct ServeStats {
     pub monitor: MonitorStats,
 }
 
+impl ServeStats {
+    /// Counts one rejection: the total and `err`'s per-variant counter.
+    pub(crate) fn reject(&mut self, err: &ServeError) {
+        self.rejected += 1;
+        let r = &mut self.rejections;
+        *match err {
+            ServeError::InvalidK => &mut r.invalid_k,
+            ServeError::ArityMismatch { .. } => &mut r.arity_mismatch,
+            ServeError::NonFinite => &mut r.non_finite,
+            ServeError::InvalidBudget => &mut r.invalid_budget,
+            ServeError::UnsupportedAlgorithm => &mut r.unsupported_algorithm,
+            ServeError::QueryFailed => &mut r.query_failed,
+            ServeError::UpdateFailed => &mut r.update_failed,
+            ServeError::Overloaded => &mut r.overloaded,
+            ServeError::QuotaExceeded => &mut r.quota_exceeded,
+            ServeError::Shutdown => &mut r.shutdown,
+            ServeError::ServerClosed => &mut r.server_closed,
+        } += 1;
+    }
+
+    /// Every counter as `(name, value)`, in declaration order: the one name
+    /// listing behind the `kspr_<name>` series of
+    /// [`crate::ServeHandle::metrics`] and the wire `Stats` reply.
+    ///
+    /// Rejections list per variant as `rejected_<variant>` (see
+    /// [`RejectionStats::variants`]).  The `largest_*` high-water marks are
+    /// listed too (Prometheus exports them as gauges); the monitor's
+    /// classification stats stay on the struct.  The exhaustive destructure
+    /// makes a new field a compile error until it is listed here.
+    pub fn fields(&self) -> Vec<(String, u64)> {
+        let Self {
+            queries,
+            exact_queries,
+            approx_queries,
+            auto_routed_exact,
+            auto_routed_approx,
+            degraded_to_approx,
+            rejected,
+            rejections,
+            batches,
+            largest_batch,
+            largest_intra_grant,
+            parallel_batches,
+            updates,
+            update_batches,
+            largest_update_batch,
+            wal_commits,
+            snapshots,
+            compactions,
+            subscriptions,
+            notifications,
+            deltas_coalesced,
+            approx_subscriptions,
+            approx_notifications,
+            approx_watch_unaffected,
+            maintenance_failures,
+            monitor: _,
+        } = *self;
+        let head = [
+            ("queries", queries),
+            ("exact_queries", exact_queries),
+            ("approx_queries", approx_queries),
+            ("auto_routed_exact", auto_routed_exact),
+            ("auto_routed_approx", auto_routed_approx),
+            ("degraded_to_approx", degraded_to_approx),
+            ("rejected", rejected),
+        ];
+        let per_variant = rejections
+            .variants()
+            .map(|(variant, count)| (format!("rejected_{variant}"), count));
+        let tail = [
+            ("batches", batches),
+            ("largest_batch", largest_batch as u64),
+            ("largest_intra_grant", largest_intra_grant as u64),
+            ("parallel_batches", parallel_batches),
+            ("updates", updates),
+            ("update_batches", update_batches),
+            ("largest_update_batch", largest_update_batch as u64),
+            ("wal_commits", wal_commits),
+            ("snapshots", snapshots),
+            ("compactions", compactions),
+            ("subscriptions", subscriptions),
+            ("notifications", notifications),
+            ("deltas_coalesced", deltas_coalesced),
+            ("approx_subscriptions", approx_subscriptions),
+            ("approx_notifications", approx_notifications),
+            ("approx_watch_unaffected", approx_watch_unaffected),
+            ("maintenance_failures", maintenance_failures),
+        ];
+        let named = |(name, value): (&str, u64)| (name.to_owned(), value);
+        head.into_iter()
+            .map(named)
+            .chain(per_variant)
+            .chain(tail.into_iter().map(named))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,13 +284,21 @@ mod tests {
     fn total_is_the_sum_over_variants() {
         // Distinct primes per field, so a swapped or dropped counter in
         // `variants()` cannot cancel out.
-        let counts: [u64; REJECTION_VARIANTS] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31];
-        let stats = RejectionStats::from_counts(counts);
+        let stats = RejectionStats {
+            invalid_k: 2,
+            arity_mismatch: 3,
+            non_finite: 5,
+            invalid_budget: 7,
+            unsupported_algorithm: 11,
+            query_failed: 13,
+            update_failed: 17,
+            overloaded: 19,
+            quota_exceeded: 23,
+            shutdown: 29,
+            server_closed: 31,
+        };
+        let counts = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31];
         let variants = stats.variants();
-        assert_eq!(
-            stats.total(),
-            variants.iter().map(|&(_, count)| count).sum::<u64>()
-        );
         assert_eq!(stats.total(), counts.iter().sum::<u64>());
         // The listing preserves declaration order and hits every field.
         assert_eq!(
@@ -259,14 +333,39 @@ mod tests {
             ServeError::ServerClosed,
         ];
         assert_eq!(errors.len(), REJECTION_VARIANTS);
-        let mut counts = [0u64; REJECTION_VARIANTS];
+        let mut stats = ServeStats::default();
         for err in &errors {
-            counts[RejectionStats::index_of(err)] += 1;
+            stats.reject(err);
         }
-        let stats = RejectionStats::from_counts(counts);
-        assert_eq!(stats.total(), errors.len() as u64);
-        for (name, count) in stats.variants() {
+        assert_eq!(stats.rejected, errors.len() as u64);
+        assert_eq!(stats.rejections.total(), stats.rejected);
+        for (name, count) in stats.rejections.variants() {
             assert_eq!(count, 1, "variant {name} must count exactly once");
         }
+    }
+
+    #[test]
+    fn fields_list_every_counter_once_under_a_distinct_name() {
+        let mut stats = ServeStats {
+            queries: 4,
+            largest_batch: 5,
+            maintenance_failures: 6,
+            ..Default::default()
+        };
+        stats.reject(&ServeError::QuotaExceeded);
+        let fields = stats.fields();
+        let get = |name: &str| fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(get("queries"), Some(4));
+        assert_eq!(get("largest_batch"), Some(5));
+        assert_eq!(get("maintenance_failures"), Some(6));
+        assert_eq!(get("rejected"), Some(1));
+        assert_eq!(get("rejected_quota_exceeded"), Some(1));
+        // 24 scalar fields (the monitor block is not listed) plus one
+        // counter per rejection variant.
+        assert_eq!(fields.len(), 24 + REJECTION_VARIANTS);
+        let mut names: Vec<&String> = fields.iter().map(|(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), fields.len(), "listed names must be distinct");
     }
 }

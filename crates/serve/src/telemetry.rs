@@ -1,28 +1,24 @@
-//! Serving-side telemetry: the lock-free mirror behind the non-blocking
-//! stats snapshot, the metric registry every pipeline stage records into,
-//! and the slow-query log.
+//! Serving-side telemetry: the one [`ServeStats`] counter store, the metric
+//! registry every pipeline stage records into, and the slow-query log.
 //!
-//! The dispatcher used to own [`ServeStats`] as plain `u64`s, so reading
-//! the counters meant a round-trip through the request queue (blocking
-//! behind whatever the dispatcher was busy with).  [`LiveStats`] replaces
-//! that with relaxed atomics the dispatcher increments *before* it sends
-//! each answer: the mpsc channel's release/acquire edge then orders the
-//! increment before the client's receive, so a snapshot taken after a
-//! ticket resolved always includes that request — the counters stay exactly
-//! as consistent as the old serialized read, without the round-trip.  (The
-//! only lag is bookkeeping no answer waits on: notification counts and the
-//! monitor's classification stats update after the acknowledging sends; a
-//! serialized request, e.g. `subscriptions()`, acts as a barrier.)
+//! [`ServeMetrics`] owns the counters as a plain [`ServeStats`] behind a
+//! mutex.  The dispatcher thread is the only writer: it updates the struct
+//! in short critical sections *before* it sends each answer, and readers
+//! copy it under the same lock.  The mutex's release/acquire edge orders
+//! every write before the client's receive, so a snapshot taken after a
+//! ticket resolved always includes that request — without a round-trip
+//! through the request queue.  (The only lag is bookkeeping no answer waits
+//! on: notification counts and the monitor's classification stats update
+//! after the acknowledging sends.)
 //!
-//! [`ServeMetrics`] holds the pre-resolved [`kspr_telemetry`] handles the
-//! hot path records into — per-[`Stage`] latency histograms, per-tier and
-//! per-algorithm totals, WAL commit latency, engine wall time — plus the
-//! WAL gauges and the bounded ring buffer of [`SlowQuery`] entries.
+//! Beside the counters, [`ServeMetrics`] holds the pre-resolved
+//! [`kspr_telemetry`] handles the hot path records into — per-[`Stage`]
+//! latency histograms, per-tier and per-algorithm totals, WAL commit
+//! latency, engine wall time — plus the WAL gauges and the bounded ring
+//! buffer of [`SlowQuery`] entries.
 
-use crate::error::ServeError;
-use crate::stats::{RejectionStats, ServeStats, REJECTION_VARIANTS};
+use crate::stats::ServeStats;
 use kspr::{Algorithm, QueryStats, QueryTier};
-use kspr_monitor::MonitorStats;
 use kspr_telemetry::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, RequestTrace,
     Stage, StageTimings, TraceId, TraceRecord,
@@ -34,109 +30,6 @@ use std::time::Duration;
 
 fn unpoisoned<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// A monotone high-water mark (`fetch_max` under the hood).
-#[derive(Debug, Default)]
-pub(crate) struct Peak(AtomicU64);
-
-impl Peak {
-    /// Raises the mark to `value` if it is higher.
-    pub(crate) fn record(&self, value: usize) {
-        self.0.fetch_max(value as u64, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> usize {
-        self.0.load(Ordering::Relaxed) as usize
-    }
-}
-
-/// The live (atomic) mirror of every [`ServeStats`] counter.
-///
-/// The dispatcher thread is the only writer; [`LiveStats::snapshot`] can be
-/// read from any thread at any time.  Field-for-field with [`ServeStats`]
-/// (the snapshot is an exhaustive struct literal, so the two cannot drift
-/// without a compile error).
-#[derive(Debug, Default)]
-pub(crate) struct LiveStats {
-    pub(crate) queries: Counter,
-    pub(crate) exact_queries: Counter,
-    pub(crate) approx_queries: Counter,
-    pub(crate) auto_routed_exact: Counter,
-    pub(crate) auto_routed_approx: Counter,
-    pub(crate) degraded_to_approx: Counter,
-    rejected: Counter,
-    rejections: [Counter; REJECTION_VARIANTS],
-    pub(crate) batches: Counter,
-    pub(crate) largest_batch: Peak,
-    pub(crate) largest_intra_grant: Peak,
-    pub(crate) parallel_batches: Counter,
-    pub(crate) updates: Counter,
-    pub(crate) update_batches: Counter,
-    pub(crate) largest_update_batch: Peak,
-    pub(crate) wal_commits: Counter,
-    pub(crate) snapshots: Counter,
-    pub(crate) compactions: Counter,
-    pub(crate) subscriptions: Counter,
-    pub(crate) notifications: Counter,
-    pub(crate) deltas_coalesced: Counter,
-    pub(crate) approx_subscriptions: Counter,
-    pub(crate) approx_notifications: Counter,
-    pub(crate) approx_watch_unaffected: Counter,
-    pub(crate) maintenance_failures: Counter,
-    /// The monitor's classification stats, refreshed after every
-    /// maintenance pass (the monitor itself lives on the dispatcher
-    /// thread).
-    monitor: Mutex<MonitorStats>,
-}
-
-impl LiveStats {
-    /// Counts one rejection (total + per-variant).
-    pub(crate) fn reject(&self, err: &ServeError) {
-        self.rejected.inc();
-        self.rejections[RejectionStats::index_of(err)].inc();
-    }
-
-    /// Publishes the monitor's classification stats.
-    pub(crate) fn set_monitor(&self, stats: MonitorStats) {
-        *unpoisoned(&self.monitor) = stats;
-    }
-
-    /// A plain-value copy of every counter.
-    pub(crate) fn snapshot(&self) -> ServeStats {
-        let mut counts = [0u64; REJECTION_VARIANTS];
-        for (slot, counter) in counts.iter_mut().zip(&self.rejections) {
-            *slot = counter.get();
-        }
-        ServeStats {
-            queries: self.queries.get(),
-            exact_queries: self.exact_queries.get(),
-            approx_queries: self.approx_queries.get(),
-            auto_routed_exact: self.auto_routed_exact.get(),
-            auto_routed_approx: self.auto_routed_approx.get(),
-            degraded_to_approx: self.degraded_to_approx.get(),
-            rejected: self.rejected.get(),
-            rejections: RejectionStats::from_counts(counts),
-            batches: self.batches.get(),
-            largest_batch: self.largest_batch.get(),
-            largest_intra_grant: self.largest_intra_grant.get(),
-            parallel_batches: self.parallel_batches.get(),
-            updates: self.updates.get(),
-            update_batches: self.update_batches.get(),
-            largest_update_batch: self.largest_update_batch.get(),
-            wal_commits: self.wal_commits.get(),
-            snapshots: self.snapshots.get(),
-            compactions: self.compactions.get(),
-            subscriptions: self.subscriptions.get(),
-            notifications: self.notifications.get(),
-            deltas_coalesced: self.deltas_coalesced.get(),
-            approx_subscriptions: self.approx_subscriptions.get(),
-            approx_notifications: self.approx_notifications.get(),
-            approx_watch_unaffected: self.approx_watch_unaffected.get(),
-            maintenance_failures: self.maintenance_failures.get(),
-            monitor: *unpoisoned(&self.monitor),
-        }
-    }
 }
 
 /// The tier classes queries are bucketed under (by the tier they were
@@ -156,14 +49,18 @@ pub(crate) fn tier_index(tier: &QueryTier) -> usize {
 /// Metric-name component per algorithm (indexed by `Algorithm as usize`).
 const ALGORITHM_NAMES: [&str; 6] = ["cta", "pcta", "lp_cta", "k_skyband", "rtopk", "i_max_rank"];
 
-/// How many [`SlowQuery`] entries the ring buffer retains by default: old
-/// entries are evicted oldest-first once the log is full.  Configurable per
-/// server via `ServeOptions::slow_log_capacity`.
+/// How many [`SlowQuery`] entries the ring buffer retains: old entries are
+/// evicted oldest-first once the log is full.
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
-/// How many complete span trees the flight recorder retains by default.
-/// Configurable per server via `ServeOptions::flight_recorder_capacity`.
+/// How many complete span trees the flight recorder retains (most recent
+/// wins).
 pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
+
+/// WAL size watermark, bytes: once the live WAL (the `kspr_wal_bytes`
+/// gauge) grows past it, the server logs one warning per snapshot epoch
+/// suggesting a compaction.
+const WAL_WARN_BYTES: u64 = 64 << 20;
 
 /// Phase-histogram name components, in [`kspr::PhaseNanos::iter`] order.
 const PHASE_NAMES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
@@ -201,10 +98,12 @@ pub struct SlowQuery {
     pub trace_id: Option<TraceId>,
 }
 
-/// Everything the serving stack records besides the [`ServeStats`]
-/// counters: the registry of latency histograms and WAL gauges, the
-/// slow-query threshold, and the slow-query ring buffer.
+/// Everything the serving stack records: the [`ServeStats`] counters, the
+/// registry of latency histograms and WAL gauges, the slow-query threshold,
+/// the slow-query ring buffer, and the flight recorder.
 pub(crate) struct ServeMetrics {
+    /// The serving counters (written by the dispatcher only).
+    stats: Mutex<ServeStats>,
     registry: MetricsRegistry,
     /// Per-pipeline-stage latency histograms, indexed by [`Stage::index`]
     /// (`kspr_stage_<stage>_ns`).
@@ -237,23 +136,15 @@ pub(crate) struct ServeMetrics {
     /// log; `None` disables the log.
     slow_threshold_ns: Option<u64>,
     slow: Mutex<VecDeque<SlowQuery>>,
-    /// [`SlowQuery`] entries retained before oldest-first eviction.
-    slow_log_capacity: usize,
     /// The bounded ring of retained span trees (client-pinned traces plus
     /// every trace that crossed the slow-query threshold).
     recorder: FlightRecorder,
-    /// WAL size past which a warning is logged (once per epoch).
-    wal_warn_bytes: u64,
+    /// Set once the WAL passed [`WAL_WARN_BYTES`] this epoch.
     wal_warned: AtomicBool,
 }
 
 impl ServeMetrics {
-    pub(crate) fn new(
-        slow_query_threshold: Option<Duration>,
-        wal_warn_bytes: u64,
-        slow_log_capacity: usize,
-        flight_recorder_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(slow_query_threshold: Option<Duration>) -> Self {
         let registry = MetricsRegistry::new();
         let stages = Stage::ALL.map(|stage| {
             let name = format!("kspr_stage_{}_ns", stage.name());
@@ -333,6 +224,7 @@ impl ServeMetrics {
         let snapshot_epoch = registry.gauge("kspr_snapshot_epoch");
         let queue_depth = registry.gauge("kspr_queue_depth");
         Self {
+            stats: Mutex::default(),
             registry,
             stages,
             tiers,
@@ -348,12 +240,22 @@ impl ServeMetrics {
             queue_depth,
             slow_threshold_ns: slow_query_threshold
                 .map(|t| u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)),
-            slow: Mutex::new(VecDeque::with_capacity(slow_log_capacity)),
-            slow_log_capacity: slow_log_capacity.max(1),
-            recorder: FlightRecorder::new(flight_recorder_capacity),
-            wal_warn_bytes,
+            slow: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
+            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             wal_warned: AtomicBool::new(false),
         }
+    }
+
+    /// Updates the serving counters in one critical section.  The
+    /// dispatcher calls this before it sends the answers the update
+    /// accounts for, so a client holding an answer always sees it counted.
+    pub(crate) fn count(&self, update: impl FnOnce(&mut ServeStats)) {
+        update(&mut unpoisoned(&self.stats));
+    }
+
+    /// A copy of the serving counters.
+    pub(crate) fn stats(&self) -> ServeStats {
+        *unpoisoned(&self.stats)
     }
 
     /// Records the listed stages of one finished request into the per-stage
@@ -381,7 +283,7 @@ impl ServeMetrics {
         }
         if self.slow_threshold_ns.is_some_and(|t| slow.total_ns >= t) {
             let mut log = unpoisoned(&self.slow);
-            while log.len() >= self.slow_log_capacity {
+            while log.len() >= SLOW_LOG_CAPACITY {
                 log.pop_front();
             }
             log.push_back(slow);
@@ -435,111 +337,80 @@ impl ServeMetrics {
         self.maintenance_ns.add(nanos);
     }
 
-    /// Publishes the WAL's state after one committed batch: commit latency,
-    /// fsync count, size gauge — and a (once-per-epoch) warning when the
-    /// log outgrows the watermark without a compaction truncating it.
+    /// Publishes the WAL's state after one commit: the `wal_commits`
+    /// counter, commit latency, fsync count, size gauge — and a
+    /// (once-per-epoch) warning when the log outgrows [`WAL_WARN_BYTES`]
+    /// without a compaction truncating it.
     pub(crate) fn wal_committed(&self, bytes: u64, commit_nanos: u64, synced: bool) {
+        self.count(|s| s.wal_commits += 1);
         self.wal_commit.record(commit_nanos);
         self.wal_bytes.set(bytes);
         if synced {
             self.wal_fsyncs.inc();
         }
-        if bytes > self.wal_warn_bytes && !self.wal_warned.swap(true, Ordering::Relaxed) {
+        if bytes > WAL_WARN_BYTES && !self.wal_warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "kspr-serve: WAL has grown to {bytes} bytes (watermark \
-                 {}); recovery replay is getting long — consider a lower \
-                 compaction threshold or a manual snapshot",
-                self.wal_warn_bytes
+                 {WAL_WARN_BYTES}); recovery replay is getting long — \
+                 consider a lower compaction threshold or a manual snapshot"
             );
         }
     }
 
-    /// Publishes the WAL's state after a snapshot install truncated it.
+    /// Publishes the WAL's state after a snapshot install truncated it,
+    /// counting the snapshot.
     pub(crate) fn snapshot_installed(&self, wal_bytes: u64, epoch: u64) {
+        self.count(|s| s.snapshots += 1);
         self.wal_bytes.set(wal_bytes);
         self.snapshot_epoch.set(epoch);
         self.wal_warned.store(false, Ordering::Relaxed);
     }
 
     /// A [`MetricsSnapshot`] of every registered metric, folding in the
-    /// [`ServeStats`] counters (prefixed `kspr_`) and the current queue
-    /// depth so one export carries the whole serving picture.
-    pub(crate) fn snapshot(&self, queue_depth: u64, serve: &ServeStats) -> MetricsSnapshot {
+    /// [`ServeStats`] counters (as `kspr_<name>`, through
+    /// [`ServeStats::fields`]) and the current queue depth so one export
+    /// carries the whole serving picture.  The `largest_*` high-water marks
+    /// export as gauges, every other counter as a counter.
+    pub(crate) fn snapshot(&self, queue_depth: u64) -> MetricsSnapshot {
         self.queue_depth.set(queue_depth);
         let mut snap = self.registry.snapshot();
-        for (name, value) in serve_counter_fields(serve) {
-            snap.counters.push((format!("kspr_{name}"), value));
+        for (name, value) in self.stats().fields() {
+            let series = if name.starts_with("largest_") {
+                &mut snap.gauges
+            } else {
+                &mut snap.counters
+            };
+            series.push((format!("kspr_{name}"), value));
         }
         snap.counters.sort();
-        snap.gauges
-            .push(("kspr_largest_batch".into(), serve.largest_batch as u64));
-        snap.gauges.push((
-            "kspr_largest_intra_grant".into(),
-            serve.largest_intra_grant as u64,
-        ));
-        snap.gauges.push((
-            "kspr_largest_update_batch".into(),
-            serve.largest_update_batch as u64,
-        ));
         snap.gauges.sort();
         snap
     }
 }
 
-/// Every monotone [`ServeStats`] counter as `(name, value)` — the high-water
-/// marks export as gauges instead, and the monitor's classification stats
-/// stay on the struct.
-fn serve_counter_fields(stats: &ServeStats) -> Vec<(String, u64)> {
-    let mut fields: Vec<(String, u64)> = [
-        ("queries", stats.queries),
-        ("exact_queries", stats.exact_queries),
-        ("approx_queries", stats.approx_queries),
-        ("auto_routed_exact", stats.auto_routed_exact),
-        ("auto_routed_approx", stats.auto_routed_approx),
-        ("degraded_to_approx", stats.degraded_to_approx),
-        ("rejected", stats.rejected),
-        ("batches", stats.batches),
-        ("parallel_batches", stats.parallel_batches),
-        ("updates", stats.updates),
-        ("update_batches", stats.update_batches),
-        ("wal_commits", stats.wal_commits),
-        ("snapshots", stats.snapshots),
-        ("compactions", stats.compactions),
-        ("subscriptions", stats.subscriptions),
-        ("notifications", stats.notifications),
-        ("deltas_coalesced", stats.deltas_coalesced),
-        ("approx_subscriptions", stats.approx_subscriptions),
-        ("approx_notifications", stats.approx_notifications),
-        ("approx_watch_unaffected", stats.approx_watch_unaffected),
-        ("maintenance_failures", stats.maintenance_failures),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name.to_owned(), value))
-    .collect();
-    for (variant, count) in stats.rejections.variants() {
-        fields.push((format!("rejected_{variant}"), count));
-    }
-    fields
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServeError;
 
     #[test]
-    fn live_stats_snapshot_mirrors_every_counter() {
-        let live = LiveStats::default();
-        live.queries.add(4);
-        live.exact_queries.add(3);
-        live.approx_queries.inc();
-        live.reject(&ServeError::InvalidK);
-        live.reject(&ServeError::Overloaded);
-        live.reject(&ServeError::Overloaded);
-        live.largest_batch.record(5);
-        live.largest_batch.record(3); // high-water mark, not last-write
-        live.updates.add(7);
+    fn counted_stats_read_back_exactly() {
+        let metrics = ServeMetrics::new(None);
+        metrics.count(|s| {
+            s.queries += 4;
+            s.exact_queries += 3;
+            s.approx_queries += 1;
+            s.reject(&ServeError::InvalidK);
+            s.reject(&ServeError::Overloaded);
+            s.reject(&ServeError::Overloaded);
+            s.largest_batch = s.largest_batch.max(5);
+        });
+        metrics.count(|s| s.largest_batch = s.largest_batch.max(3));
+        // The WAL hooks count their own commits and snapshots.
+        metrics.wal_committed(10, 1, true);
+        metrics.snapshot_installed(0, 1);
 
-        let snap = live.snapshot();
+        let snap = metrics.stats();
         assert_eq!(snap.queries, 4);
         assert_eq!(snap.exact_queries, 3);
         assert_eq!(snap.approx_queries, 1);
@@ -547,18 +418,14 @@ mod tests {
         assert_eq!(snap.rejections.invalid_k, 1);
         assert_eq!(snap.rejections.overloaded, 2);
         assert_eq!(snap.rejections.total(), snap.rejected);
-        assert_eq!(snap.largest_batch, 5);
-        assert_eq!(snap.updates, 7);
+        assert_eq!(snap.largest_batch, 5, "a high-water mark, not last-write");
+        assert_eq!(snap.wal_commits, 1);
+        assert_eq!(snap.snapshots, 1);
     }
 
     #[test]
     fn slow_query_log_applies_threshold_and_capacity() {
-        let metrics = ServeMetrics::new(
-            Some(Duration::from_nanos(1_000)),
-            u64::MAX,
-            SLOW_LOG_CAPACITY,
-            FLIGHT_RECORDER_CAPACITY,
-        );
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)));
         let query = |total_ns| SlowQuery {
             algorithm: Algorithm::LpCta,
             k: 2,
@@ -581,7 +448,7 @@ mod tests {
         );
         // Every recorded query lands in its tier histogram regardless of
         // the slow log.
-        let snap = metrics.snapshot(0, &ServeStats::default());
+        let snap = metrics.snapshot(0);
         assert_eq!(
             snap.histogram("kspr_tier_exact_ns").unwrap().count(),
             SLOW_LOG_CAPACITY as u64 + 4
@@ -590,7 +457,7 @@ mod tests {
 
     #[test]
     fn disabled_threshold_retains_nothing() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
+        let metrics = ServeMetrics::new(None);
         metrics.record_query(SlowQuery {
             algorithm: Algorithm::Cta,
             k: 1,
@@ -605,17 +472,14 @@ mod tests {
 
     #[test]
     fn snapshot_folds_serve_counters_and_peak_gauges_in() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
-        let serve = ServeStats {
-            queries: 9,
-            largest_batch: 4,
-            rejections: RejectionStats {
-                quota_exceeded: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let snap = metrics.snapshot(3, &serve);
+        let metrics = ServeMetrics::new(None);
+        metrics.count(|s| {
+            s.queries = 9;
+            s.largest_batch = 4;
+            s.reject(&ServeError::QuotaExceeded);
+            s.reject(&ServeError::QuotaExceeded);
+        });
+        let snap = metrics.snapshot(3);
         assert_eq!(snap.counter("kspr_queries"), Some(9));
         assert_eq!(snap.counter("kspr_rejected_quota_exceeded"), Some(2));
         assert_eq!(snap.gauge("kspr_largest_batch"), Some(4));
@@ -628,28 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn slow_log_capacity_is_configurable() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1)), u64::MAX, 2, 4);
-        for i in 0..5u64 {
-            metrics.record_query(SlowQuery {
-                algorithm: Algorithm::LpCta,
-                k: 1,
-                tier: TIER_NAMES[0],
-                total_ns: 100 + i,
-                stages: StageTimings::default(),
-                stats: None,
-                trace_id: None,
-            });
-        }
-        let log = metrics.slow_queries();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].total_ns, 103);
-        assert_eq!(log[1].total_ns, 104);
-    }
-
-    #[test]
     fn flight_recorder_keeps_pinned_and_slow_traces() {
-        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)), u64::MAX, 4, 4);
+        let metrics = ServeMetrics::new(Some(Duration::from_nanos(1_000)));
         // A client-pinned trace is kept regardless of latency.
         let pinned = RequestTrace::traced(TraceId(7), true);
         assert_eq!(metrics.finish_trace(pinned, 0), Some(TraceId(7)));
@@ -668,7 +512,7 @@ mod tests {
 
     #[test]
     fn phase_histograms_record_engine_breakdowns() {
-        let metrics = ServeMetrics::new(None, u64::MAX, SLOW_LOG_CAPACITY, 4);
+        let metrics = ServeMetrics::new(None);
         let mut stats = QueryStats::new();
         stats.phases.prep_ns = 100;
         stats.phases.expansion_ns = 400;
@@ -676,7 +520,7 @@ mod tests {
         stats.phases.dominance_ns = 30;
         stats.lp_pivots = 17;
         metrics.record_phases(&stats);
-        let snap = metrics.snapshot(0, &ServeStats::default());
+        let snap = metrics.snapshot(0);
         for phase in PHASE_NAMES {
             let histogram = snap.histogram(&format!("kspr_phase_{phase}_ns")).unwrap();
             assert_eq!(histogram.count(), 1, "{phase}");
@@ -694,20 +538,22 @@ mod tests {
 
     #[test]
     fn wal_watermark_warns_once_per_epoch() {
-        let metrics = ServeMetrics::new(None, 100, SLOW_LOG_CAPACITY, 4);
-        metrics.wal_committed(50, 10, true);
+        let metrics = ServeMetrics::new(None);
+        metrics.wal_committed(WAL_WARN_BYTES / 2, 10, true);
         assert!(!metrics.wal_warned.load(Ordering::Relaxed));
-        metrics.wal_committed(150, 10, true);
+        metrics.wal_committed(WAL_WARN_BYTES + 1, 10, true);
         assert!(metrics.wal_warned.load(Ordering::Relaxed));
         metrics.snapshot_installed(0, 1);
         assert!(
             !metrics.wal_warned.load(Ordering::Relaxed),
             "a snapshot truncates the WAL and re-arms the warning"
         );
-        let snap = metrics.snapshot(0, &ServeStats::default());
+        let snap = metrics.snapshot(0);
         assert_eq!(snap.counter("kspr_wal_fsyncs"), Some(2));
         assert_eq!(snap.gauge("kspr_wal_bytes"), Some(0));
         assert_eq!(snap.gauge("kspr_snapshot_epoch"), Some(1));
         assert_eq!(snap.histogram("kspr_wal_commit_ns").unwrap().count(), 2);
+        assert_eq!(snap.counter("kspr_wal_commits"), Some(2));
+        assert_eq!(snap.counter("kspr_snapshots"), Some(1));
     }
 }

@@ -301,6 +301,10 @@ pub enum WireResponse {
         value: u64,
     },
     /// Answer to `Stats`: labelled counters, order-stable per server build.
+    /// A `kspr-serve` server sends its whole counter listing
+    /// (`ServeStats::fields`): every scalar counter by field name, the
+    /// `largest_*` high-water marks, and one `rejected_<variant>` counter
+    /// per rejection variant (e.g. `rejected_quota_exceeded`).
     Stats {
         /// `(name, value)` counter pairs.
         fields: Vec<(String, u64)>,
