@@ -14,6 +14,10 @@
 //!   (2·d LPs per cell, reused for every entry) give score bounds in `O(d)`
 //!   per entry, used as a filter before the LP-based group bounds.
 //!
+//! Every bound of one cell optimizes over the same constraint set, so
+//! [`rank_bounds`] solves its phase 1 once ([`PreparedLp`]) and each bound LP
+//! runs phase 2 alone.
+//!
 //! In the original preference space (Appendix C) the focal score interval
 //! degenerates (`S(p,c) = 0` for every cone), so the bounds are computed on
 //! the score *difference* `S(r) − S(p)` instead, and the fast bounds do not
@@ -22,6 +26,7 @@
 use crate::config::BoundMode;
 use crate::stats::QueryStats;
 use kspr_geometry::{ConstraintSystem, Space};
+use kspr_lp::PreparedLp;
 use kspr_spatial::{AggregateRTree, NodeEntries, Record};
 
 /// Decision reached by the rank-bound computation for one cell.
@@ -73,7 +78,7 @@ fn score_objective(space: Space, dim: usize, q: &[f64]) -> (Vec<f64>, f64) {
 /// Used for group bounds, where only the min-corner's minimum and the
 /// max-corner's maximum are needed (Section 6.2).
 fn score_min(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
@@ -81,12 +86,12 @@ fn score_min(
 ) -> Option<f64> {
     let (obj, constant) = score_objective(space, dim, q);
     stats.bound_lp_calls += 1;
-    Some(sys.minimize(&obj)?.0 + constant)
+    Some(lp.minimize(&obj).objective()? + constant)
 }
 
 /// Maximum score of point `q` over the cell (one LP call).
 fn score_max(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
@@ -94,7 +99,7 @@ fn score_max(
 ) -> Option<f64> {
     let (obj, constant) = score_objective(space, dim, q);
     stats.bound_lp_calls += 1;
-    Some(sys.maximize(&obj)?.0 + constant)
+    Some(lp.maximize(&obj).objective()? + constant)
 }
 
 /// Objective vector for the score difference `S(q) − S(p)`.
@@ -109,7 +114,7 @@ fn diff_objective(space: Space, dim: usize, q: &[f64], focal: &[f64]) -> (Vec<f6
 
 /// Minimum of `S(q) − S(p)` over the cell (one LP call).
 fn diff_min(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
@@ -118,12 +123,12 @@ fn diff_min(
 ) -> Option<f64> {
     let (obj, constant) = diff_objective(space, dim, q, focal);
     stats.bound_lp_calls += 1;
-    Some(sys.minimize(&obj)?.0 + constant)
+    Some(lp.minimize(&obj).objective()? + constant)
 }
 
 /// Maximum of `S(q) − S(p)` over the cell (one LP call).
 fn diff_max(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
@@ -132,12 +137,12 @@ fn diff_max(
 ) -> Option<f64> {
     let (obj, constant) = diff_objective(space, dim, q, focal);
     stats.bound_lp_calls += 1;
-    Some(sys.maximize(&obj)?.0 + constant)
+    Some(lp.maximize(&obj).objective()? + constant)
 }
 
 /// Exact score interval of point `q` over the cell (two LP calls).
 fn score_interval(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
@@ -145,35 +150,32 @@ fn score_interval(
 ) -> Option<(f64, f64)> {
     let (obj, constant) = score_objective(space, dim, q);
     stats.bound_lp_calls += 2;
-    let lo = sys.minimize(&obj)?.0 + constant;
-    let hi = sys.maximize(&obj)?.0 + constant;
+    let lo = lp.minimize(&obj).objective()? + constant;
+    let hi = lp.maximize(&obj).objective()? + constant;
     Some((lo, hi))
 }
 
 /// Exact interval of the score *difference* `S(q) − S(p)` over the cell
 /// (used in the original space, Appendix C).
 fn diff_interval(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     q: &[f64],
     focal: &[f64],
     stats: &mut QueryStats,
 ) -> Option<(f64, f64)> {
-    let (obj_q, c_q) = score_objective(space, dim, q);
-    let (obj_p, c_p) = score_objective(space, dim, focal);
-    let obj: Vec<f64> = obj_q.iter().zip(&obj_p).map(|(a, b)| a - b).collect();
-    let constant = c_q - c_p;
+    let (obj, constant) = diff_objective(space, dim, q, focal);
     stats.bound_lp_calls += 2;
-    let lo = sys.minimize(&obj)?.0 + constant;
-    let hi = sys.maximize(&obj)?.0 + constant;
+    let lo = lp.minimize(&obj).objective()? + constant;
+    let hi = lp.maximize(&obj).objective()? + constant;
     Some((lo, hi))
 }
 
 /// The per-cell min/max weight vectors of Section 6.3 (full `d`-dimensional),
 /// or `None` in the original space where they do not apply.
 fn fast_vectors(
-    sys: &ConstraintSystem,
+    lp: &PreparedLp,
     space: Space,
     dim: usize,
     stats: &mut QueryStats,
@@ -188,13 +190,13 @@ fn fast_vectors(
         let mut e = vec![0.0; work];
         e[i] = 1.0;
         stats.bound_lp_calls += 2;
-        lo.push(sys.minimize(&e)?.0);
-        hi.push(sys.maximize(&e)?.0);
+        lo.push(lp.minimize(&e).objective()?);
+        hi.push(lp.maximize(&e).objective()?);
     }
     let ones = vec![1.0; work];
     stats.bound_lp_calls += 2;
-    let sum_lo = sys.minimize(&ones)?.0;
-    let sum_hi = sys.maximize(&ones)?.0;
+    let sum_lo = lp.minimize(&ones).objective()?;
+    let sum_hi = lp.maximize(&ones).objective()?;
     lo.push((1.0 - sum_hi).max(0.0));
     hi.push((1.0 - sum_lo).min(1.0));
     Some((lo, hi))
@@ -206,7 +208,8 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Internal traversal state.
 struct BoundState<'a> {
-    sys: &'a ConstraintSystem,
+    /// The cell closure, phase 1 solved once for all of the cell's bound LPs.
+    lp: &'a PreparedLp,
     space: Space,
     dim: usize,
     focal: &'a [f64],
@@ -279,9 +282,10 @@ pub fn rank_bounds(
 ) -> (RankBounds, BoundDecision) {
     let space = sys.space().space;
     let dim = sys.space().data_dim;
+    let lp = PreparedLp::new(sys.constraints(), sys.dim());
 
     let focal_interval = if space == Space::Transformed {
-        match score_interval(sys, space, dim, focal, stats) {
+        match score_interval(&lp, space, dim, focal, stats) {
             Some(iv) => iv,
             None => {
                 // The cell closure is empty — treat as prunable.
@@ -297,13 +301,13 @@ pub fn rank_bounds(
     };
 
     let fast = if mode == BoundMode::Fast {
-        fast_vectors(sys, space, dim, stats)
+        fast_vectors(&lp, space, dim, stats)
     } else {
         None
     };
 
     let mut state = BoundState {
-        sys,
+        lp: &lp,
         space,
         dim,
         focal,
@@ -363,19 +367,12 @@ fn process_record(state: &mut BoundState<'_>, values: &[f64], stats: &mut QueryS
     }
     // Tight per-record bounds.
     let outcome = if state.space == Space::Transformed {
-        match score_interval(state.sys, state.space, state.dim, values, stats) {
+        match score_interval(state.lp, state.space, state.dim, values, stats) {
             Some((lo, hi)) => state.classify(lo, hi),
             None => IntervalOutcome::AlwaysBelow,
         }
     } else {
-        match diff_interval(
-            state.sys,
-            state.space,
-            state.dim,
-            values,
-            state.focal,
-            stats,
-        ) {
+        match diff_interval(state.lp, state.space, state.dim, values, state.focal, stats) {
             Some((lo, hi)) => state.classify_diff(lo, hi),
             None => IntervalOutcome::AlwaysBelow,
         }
@@ -427,14 +424,14 @@ fn descend(
     // each), exactly as Section 6.2 prescribes.
     let outcome = if state.space == Space::Transformed {
         let lo = score_min(
-            state.sys,
+            state.lp,
             state.space,
             state.dim,
             node.mbr.lower_corner(),
             stats,
         );
         let hi = score_max(
-            state.sys,
+            state.lp,
             state.space,
             state.dim,
             node.mbr.upper_corner(),
@@ -446,7 +443,7 @@ fn descend(
         }
     } else {
         let lo = diff_min(
-            state.sys,
+            state.lp,
             state.space,
             state.dim,
             node.mbr.lower_corner(),
@@ -454,7 +451,7 @@ fn descend(
             stats,
         );
         let hi = diff_max(
-            state.sys,
+            state.lp,
             state.space,
             state.dim,
             node.mbr.upper_corner(),
@@ -482,8 +479,7 @@ fn descend(
         }
         NodeEntries::Leaf(ids) => {
             for &id in ids {
-                let values = tree.record(id).values.clone();
-                process_record(state, &values, stats);
+                process_record(state, &tree.record(id).values, stats);
                 if state.exceeded() {
                     return;
                 }

@@ -8,7 +8,8 @@
 
 /// Wall-clock nanoseconds spent in each engine phase while answering one
 /// query: Section-3.1 shared preparation (with the columnar dominance
-/// kernel broken out), CellTree expansion, and the LP solves inside it.
+/// kernel broken out), CellTree expansion, and the LP feasibility tests
+/// inside it.
 ///
 /// The phases **overlap** rather than partition: `dominance_ns` is part of
 /// `prep_ns`, and `lp_ns` accrues mostly inside `expansion_ns` — they are
@@ -27,8 +28,9 @@ pub struct PhaseNanos {
     pub prep_ns: u64,
     /// CellTree expansion: hyperplane insertion through result collection.
     pub expansion_ns: u64,
-    /// LP solves — cell feasibility tests plus look-ahead bound
-    /// optimizations (§6).
+    /// LP cell feasibility tests (§4.2) only.  The look-ahead bound
+    /// optimizations (§6) are not timed here: they count in `expansion_ns`
+    /// and, as calls, in [`QueryStats::bound_lp_calls`].
     pub lp_ns: u64,
     /// The columnar dominance kernel inside preparation.
     pub dominance_ns: u64,

@@ -15,6 +15,12 @@
 //! anti-cycling rule is therefore more than adequate, and keeping the solver
 //! in-tree removes the external C dependency.
 //!
+//! The solver runs thousands of such LPs per query, so it allocates nothing
+//! per solve beyond its result: the tableau is one flat row-major buffer in a
+//! per-thread workspace, and constraint rows are written straight into it.
+//! A solve holds that workspace from start to finish and never calls out
+//! while holding it, so solves do not nest.
+//!
 //! # Overview
 //!
 //! * [`simplex`] — the raw tableau solver for problems in the standard form
@@ -23,6 +29,10 @@
 //!   strict / non-strict relations, maximization / minimization objectives,
 //!   and the *interior-point* feasibility test that the kSPR algorithms use to
 //!   decide whether a cell has non-zero extent.
+//! * [`PreparedLp`] — many objectives over one constraint set.  Phase 1 of
+//!   the simplex depends only on the constraints, so it runs once and every
+//!   objective runs phase 2 alone on a copy of the saved tableau, with the
+//!   same answer, bit for bit, as a fresh [`maximize`] / [`minimize`].
 //!
 //! # Example
 //!
@@ -45,7 +55,7 @@ pub mod simplex;
 
 pub use problem::{
     interior_point, interior_point_counted, maximize, minimize, InteriorSolution, LinearConstraint,
-    LpOutcome, Relation,
+    LpOutcome, PreparedLp, Relation,
 };
 pub use simplex::{solve_standard_form, solve_standard_form_counted, SimplexOutcome};
 

@@ -10,12 +10,14 @@
 //!   non-strict (used when optimizing score bounds over the cell closure).
 //! * [`maximize`] / [`minimize`] — optimize a linear objective over the
 //!   closure of the constraint set.
+//! * [`PreparedLp`] — the same optimizations for many objectives over one
+//!   constraint set, with phase 1 solved once.
 //! * [`interior_point`] — the feasibility test of Section 4.2 of the paper:
 //!   decide whether the *open* polyhedron has non-empty interior, and if so
 //!   return a witness point strictly inside it (used by the witness-reuse
 //!   optimization of Section 4.3.2).
 
-use crate::simplex::{solve_standard_form, solve_standard_form_counted, SimplexOutcome};
+use crate::simplex::{Phase1Tableau, Rows, SimplexOutcome, Workspace};
 use crate::INTERIOR_MARGIN;
 
 /// Relation of a [`LinearConstraint`].
@@ -80,14 +82,90 @@ impl LinearConstraint {
         }
     }
 
-    /// Returns this constraint normalized into `a · w ≤ b` form
-    /// (strictness is dropped; callers that care about strictness use
-    /// [`interior_point`]).
-    fn as_leq(&self) -> (Vec<f64>, f64) {
-        match self.op.closure() {
-            Relation::LessEq => (self.coeffs.clone(), self.rhs),
-            Relation::GreaterEq => (self.coeffs.iter().map(|c| -c).collect(), -self.rhs),
-            _ => unreachable!("closure() never returns a strict relation"),
+    /// True when the `≤` form of this constraint negates it (a `≥` or `>`
+    /// relation).  Strictness is dropped; callers that care about it use
+    /// [`interior_point`].
+    fn flips(&self) -> bool {
+        self.op.closure() == Relation::GreaterEq
+    }
+
+    /// Right-hand side of the `≤` form.
+    fn leq_rhs(&self) -> f64 {
+        if self.flips() {
+            -self.rhs
+        } else {
+            self.rhs
+        }
+    }
+
+    /// Writes the coefficients of the `≤` form into `out`.
+    fn write_leq(&self, out: &mut [f64]) {
+        if self.flips() {
+            for (o, c) in out.iter_mut().zip(&self.coeffs) {
+                *o = -c;
+            }
+        } else {
+            out.copy_from_slice(&self.coeffs);
+        }
+    }
+}
+
+fn check_arity(constraints: &[LinearConstraint], num_vars: usize) {
+    for c in constraints {
+        assert_eq!(c.coeffs.len(), num_vars, "constraint arity mismatch");
+    }
+}
+
+/// The closure of a constraint set, read in `≤` form.
+struct Closure<'a>(&'a [LinearConstraint]);
+
+impl Rows for Closure<'_> {
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn rhs(&self, i: usize) -> f64 {
+        self.0[i].leq_rhs()
+    }
+
+    fn write(&self, i: usize, out: &mut [f64]) {
+        self.0[i].write_leq(out);
+    }
+}
+
+/// The interior-point LP of a constraint set: every row `a·w ≤ b` gains a
+/// margin column `‖a‖ t`, and a last row `t ≤ 1` keeps the LP bounded.
+struct Interior<'a>(&'a [LinearConstraint]);
+
+impl Rows for Interior<'_> {
+    fn count(&self) -> usize {
+        self.0.len() + 1
+    }
+
+    fn rhs(&self, i: usize) -> f64 {
+        self.0.get(i).map_or(1.0, LinearConstraint::leq_rhs)
+    }
+
+    fn write(&self, i: usize, out: &mut [f64]) {
+        let (t, w) = out.split_last_mut().expect("the margin column");
+        match self.0.get(i) {
+            Some(c) => {
+                // a·w < rhs  ->  a·w + s t ≤ rhs   where s scales the margin
+                // by the constraint norm so that the margin is geometric, not
+                // coefficient-dependent.
+                c.write_leq(w);
+                *t = c
+                    .coeffs
+                    .iter()
+                    .map(|v| v * v)
+                    .sum::<f64>()
+                    .sqrt()
+                    .max(1e-12);
+            }
+            None => {
+                w.fill(0.0);
+                *t = 1.0;
+            }
         }
     }
 }
@@ -126,6 +204,30 @@ impl LpOutcome {
     }
 }
 
+impl From<SimplexOutcome> for LpOutcome {
+    fn from(outcome: SimplexOutcome) -> Self {
+        match outcome {
+            SimplexOutcome::Optimal { x, objective } => LpOutcome::Optimal {
+                point: x,
+                objective,
+            },
+            SimplexOutcome::Infeasible => LpOutcome::Infeasible,
+            SimplexOutcome::Unbounded => LpOutcome::Unbounded,
+        }
+    }
+}
+
+/// Turns the maximum of `-c·w` into the minimum of `c·w`.
+fn negate_objective(outcome: LpOutcome) -> LpOutcome {
+    match outcome {
+        LpOutcome::Optimal { point, objective } => LpOutcome::Optimal {
+            point,
+            objective: -objective,
+        },
+        other => other,
+    }
+}
+
 /// A strictly interior feasible point together with its clearance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InteriorSolution {
@@ -142,37 +244,82 @@ pub struct InteriorSolution {
 /// implicit constraint is non-negativity of the variables, which matches the
 /// preference-space semantics of the paper (`w_i > 0`).
 pub fn maximize(objective: &[f64], constraints: &[LinearConstraint], num_vars: usize) -> LpOutcome {
-    assert!(
-        objective.len() == num_vars,
-        "objective length must equal num_vars"
-    );
-    let mut a = Vec::with_capacity(constraints.len());
-    let mut b = Vec::with_capacity(constraints.len());
-    for c in constraints {
-        assert_eq!(c.coeffs.len(), num_vars, "constraint arity mismatch");
-        let (row, rhs) = c.as_leq();
-        a.push(row);
-        b.push(rhs);
-    }
-    match solve_standard_form(&a, &b, objective) {
-        SimplexOutcome::Optimal { x, objective } => LpOutcome::Optimal {
-            point: x,
-            objective,
-        },
-        SimplexOutcome::Infeasible => LpOutcome::Infeasible,
-        SimplexOutcome::Unbounded => LpOutcome::Unbounded,
-    }
+    optimize(constraints, num_vars, objective.iter().copied())
 }
 
 /// Minimizes `objective · w` over the closure of `constraints` with `w ≥ 0`.
 pub fn minimize(objective: &[f64], constraints: &[LinearConstraint], num_vars: usize) -> LpOutcome {
-    let negated: Vec<f64> = objective.iter().map(|c| -c).collect();
-    match maximize(&negated, constraints, num_vars) {
-        LpOutcome::Optimal { point, objective } => LpOutcome::Optimal {
-            point,
-            objective: -objective,
-        },
-        other => other,
+    negate_objective(optimize(
+        constraints,
+        num_vars,
+        objective.iter().map(|c| -c),
+    ))
+}
+
+/// Maximizes `cost` over the closure of `constraints` in one pass: phase 1
+/// and phase 2 back to back, nothing saved.
+fn optimize(
+    constraints: &[LinearConstraint],
+    num_vars: usize,
+    cost: impl ExactSizeIterator<Item = f64>,
+) -> LpOutcome {
+    assert!(
+        cost.len() == num_vars,
+        "objective length must equal num_vars"
+    );
+    check_arity(constraints, num_vars);
+    Workspace::with(|ws| ws.solve(num_vars, &Closure(constraints), cost).0).into()
+}
+
+/// The closure of a constraint set with phase 1 solved once, answering any
+/// number of objectives.
+///
+/// Phase 1 of the simplex depends only on the constraints.  This type runs
+/// it at construction and keeps the resulting tableau; each
+/// [`PreparedLp::maximize`] / [`PreparedLp::minimize`] runs phase 2 alone,
+/// on a copy of it.  The answers equal those of the free [`maximize`] /
+/// [`minimize`] bit for bit — they share the phase-2 code and start it from
+/// the same tableau.  The look-ahead bounds (§6) use one per cell.
+#[derive(Debug, Clone)]
+pub struct PreparedLp {
+    num_vars: usize,
+    /// The tableau phase 1 left, or `None` when the closure is empty.
+    phase1: Option<Phase1Tableau>,
+}
+
+impl PreparedLp {
+    /// Runs phase 1 for the closure of `constraints` over `num_vars`
+    /// non-negative variables.
+    pub fn new(constraints: &[LinearConstraint], num_vars: usize) -> Self {
+        check_arity(constraints, num_vars);
+        let phase1 = Workspace::with(|ws| ws.prepare(num_vars, &Closure(constraints)));
+        Self { num_vars, phase1 }
+    }
+
+    /// True iff the closure of the constraint set is non-empty.
+    pub fn is_feasible(&self) -> bool {
+        self.phase1.is_some()
+    }
+
+    /// Maximizes `objective · w` over the closure, like [`maximize`].
+    pub fn maximize(&self, objective: &[f64]) -> LpOutcome {
+        self.optimize(objective.iter().copied())
+    }
+
+    /// Minimizes `objective · w` over the closure, like [`minimize`].
+    pub fn minimize(&self, objective: &[f64]) -> LpOutcome {
+        negate_objective(self.optimize(objective.iter().map(|c| -c)))
+    }
+
+    fn optimize(&self, cost: impl ExactSizeIterator<Item = f64>) -> LpOutcome {
+        assert!(
+            cost.len() == self.num_vars,
+            "objective length must equal num_vars"
+        );
+        match &self.phase1 {
+            Some(saved) => Workspace::with(|ws| ws.resume(saved, cost)).into(),
+            None => LpOutcome::Infeasible,
+        }
     }
 }
 
@@ -198,42 +345,16 @@ pub fn interior_point_counted(
     constraints: &[LinearConstraint],
     num_vars: usize,
 ) -> (Option<InteriorSolution>, usize) {
-    // Variables: w_0 .. w_{num_vars-1}, t  (all ≥ 0).
-    let total_vars = num_vars + 1;
-    let mut a = Vec::with_capacity(constraints.len() + 1);
-    let mut b = Vec::with_capacity(constraints.len() + 1);
-    for c in constraints {
-        assert_eq!(c.coeffs.len(), num_vars, "constraint arity mismatch");
-        // a·w < rhs  ->  a·w + s t ≤ rhs   where s scales the margin by the
-        // constraint norm so that the margin is geometric, not coefficient-
-        // dependent.
-        let norm: f64 = c
-            .coeffs
-            .iter()
-            .map(|v| v * v)
-            .sum::<f64>()
-            .sqrt()
-            .max(1e-12);
-        let (mut row, rhs) = c.as_leq();
-        row.push(norm);
-        a.push(row);
-        b.push(rhs);
-    }
-    // Keep t bounded so the LP is never unbounded.
-    let mut t_bound = vec![0.0; total_vars];
-    t_bound[num_vars] = 1.0;
-    a.push(t_bound);
-    b.push(1.0);
-
-    let mut objective = vec![0.0; total_vars];
-    objective[num_vars] = 1.0;
-
-    let (outcome, pivots) = solve_standard_form_counted(&a, &b, &objective);
+    check_arity(constraints, num_vars);
+    // Variables: w_0 .. w_{num_vars-1}, t  (all ≥ 0); maximize t.
+    let margin_objective = (0..=num_vars).map(|j| if j == num_vars { 1.0 } else { 0.0 });
+    let (outcome, pivots) =
+        Workspace::with(|ws| ws.solve(num_vars + 1, &Interior(constraints), margin_objective));
     let solution = match outcome {
-        SimplexOutcome::Optimal { x, objective } if objective > INTERIOR_MARGIN => {
-            let point = x[..num_vars].to_vec();
+        SimplexOutcome::Optimal { mut x, objective } if objective > INTERIOR_MARGIN => {
+            x.truncate(num_vars);
             Some(InteriorSolution {
-                point,
+                point: x,
                 margin: objective,
             })
         }

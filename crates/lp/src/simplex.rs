@@ -2,9 +2,32 @@
 //!
 //! The solver targets the very small instances produced by the kSPR
 //! algorithms (a handful of variables, tens of constraints), so it favours
-//! clarity and robustness over asymptotic sophistication: a full dense
-//! tableau, explicit artificial variables, and Bland's rule to rule out
-//! cycling.
+//! clarity and robustness over asymptotic sophistication: a dense tableau,
+//! explicit artificial variables, and Bland's rule to rule out cycling.
+//!
+//! # Workspace
+//!
+//! The tableau is one flat row-major `Vec<f64>` whose rows are `stride`
+//! entries wide, the last entry of a row being its right-hand side.  It
+//! lives, with the basis and the objective row, in a per-thread
+//! `Workspace` that every solve on the thread reuses: once the buffers
+//! have grown to the largest instance seen, a solve allocates nothing but
+//! its result.  Rows are written straight from the caller's constraints
+//! through `Rows`, never assembled into an intermediate matrix.
+//!
+//! A solve borrows the workspace from start to finish and never calls out of
+//! the crate while it holds it, so solves cannot nest; a nested solve would
+//! panic on the borrow rather than corrupt the tableau.
+//!
+//! # Phase-1 reuse
+//!
+//! Phase 1 depends only on the constraints, never on the objective.
+//! `Workspace::prepare` saves the tableau as phase 1 leaves it, and
+//! `Workspace::resume` runs phase 2 on a copy of it: the same pivots on
+//! the same numbers as a full `Workspace::solve`, so the same bits out.
+//! [`crate::PreparedLp`] is the public face of this.
+
+use std::cell::RefCell;
 
 use crate::EPSILON;
 
@@ -47,57 +70,173 @@ impl SimplexOutcome {
     }
 }
 
-/// Internal dense tableau.
-struct Tableau {
-    /// `rows x cols` coefficient matrix; the last column is the right-hand side.
-    data: Vec<Vec<f64>>,
+/// A constraint matrix in `A x ≤ b` form, read row by row into the tableau.
+pub(crate) trait Rows {
+    /// Number of rows.
+    fn count(&self) -> usize;
+    /// Right-hand side `b_i` of row `i`.
+    fn rhs(&self, i: usize) -> f64;
+    /// Writes the coefficients of row `i` into `out`, one per variable.
+    fn write(&self, i: usize, out: &mut [f64]);
+}
+
+/// A tableau as phase 1 left it.
+#[derive(Debug, Clone)]
+pub(crate) struct Phase1Tableau {
+    data: Vec<f64>,
+    stride: usize,
+    basis: Vec<usize>,
+    vars: usize,
+    first_artificial: usize,
+}
+
+/// Per-thread tableau storage, reused by every solve on the thread.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// Row-major tableau, `basis.len()` rows of `stride` entries; the last
+    /// entry of each row is its right-hand side.
+    data: Vec<f64>,
+    stride: usize,
     /// Index of the basic variable for each row.
     basis: Vec<usize>,
     /// Objective row (reduced costs); last entry is the negated objective value.
     obj: Vec<f64>,
-    /// Number of structural + slack + artificial columns (excluding RHS).
-    num_cols: usize,
-    /// Columns that must never (re-)enter the basis (artificials in phase 2).
-    banned: Vec<bool>,
-    /// Pivots performed over the tableau's lifetime (both phases), the
-    /// solver's deterministic work measure.
+    /// Phase-2 objective coefficients.
+    cost: Vec<f64>,
+    /// Number of decision variables.
+    vars: usize,
+    /// First artificial column (structural + slack count).
+    first_artificial: usize,
+    /// Pivots since the tableau was loaded (both phases), the solver's
+    /// deterministic work measure.
     pivots: usize,
 }
 
-impl Tableau {
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+struct Unbounded;
+
+/// Zeroes column `col` of `target` by subtracting a multiple of `pivot_row`.
+fn eliminate(target: &mut [f64], pivot_row: &[f64], col: usize) {
+    let factor = target[col];
+    if factor.abs() > 0.0 {
+        for (v, pv) in target.iter_mut().zip(pivot_row) {
+            *v -= factor * pv;
+        }
+    }
+}
+
+impl Workspace {
+    /// Runs `f` on the calling thread's workspace.
+    pub(crate) fn with<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+        WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
+    }
+
+    /// Solves `maximize cost·x  subject to  rows, x ≥ 0`, returning the
+    /// outcome and the pivots of both phases.
+    pub(crate) fn solve(
+        &mut self,
+        vars: usize,
+        rows: &impl Rows,
+        cost: impl IntoIterator<Item = f64>,
+    ) -> (SimplexOutcome, usize) {
+        self.load(vars, rows);
+        let outcome = if self.phase1() {
+            self.phase2(cost)
+        } else {
+            SimplexOutcome::Infeasible
+        };
+        (outcome, self.pivots)
+    }
+
+    /// Runs phase 1 on `rows` and saves the result, or returns `None` if the
+    /// rows admit no point with `x ≥ 0`.
+    pub(crate) fn prepare(&mut self, vars: usize, rows: &impl Rows) -> Option<Phase1Tableau> {
+        self.load(vars, rows);
+        self.phase1().then(|| self.save())
+    }
+
+    /// Runs phase 2 for `cost` on a copy of `saved`.
+    pub(crate) fn resume(
+        &mut self,
+        saved: &Phase1Tableau,
+        cost: impl IntoIterator<Item = f64>,
+    ) -> SimplexOutcome {
+        self.restore(saved);
+        self.phase2(cost)
+    }
+
+    /// Lays out the initial tableau.
+    ///
+    /// Column layout: `[structural 0..n) [slack n..n+m) [artificial ...] [rhs]`.
+    /// A row with a negative right-hand side is negated and gets an
+    /// artificial variable as its initial basic variable.
+    fn load(&mut self, vars: usize, rows: &impl Rows) {
+        let m = rows.count();
+        let num_artificial = (0..m).filter(|&i| rows.rhs(i) < -EPSILON).count();
+        let num_cols = vars + m + num_artificial;
+        self.stride = num_cols + 1;
+        self.vars = vars;
+        self.first_artificial = vars + m;
+        self.pivots = 0;
+        self.data.clear();
+        self.data.resize(m * self.stride, 0.0);
+        self.basis.clear();
+        let mut next_artificial = vars + m;
+        for (i, row) in self.data.chunks_exact_mut(self.stride).enumerate() {
+            let bi = rows.rhs(i);
+            let flipped = bi < -EPSILON;
+            let sign = if flipped { -1.0 } else { 1.0 };
+            rows.write(i, &mut row[..vars]);
+            for v in &mut row[..vars] {
+                *v *= sign;
+            }
+            row[vars + i] = sign; // slack (negated when the row was flipped)
+            row[num_cols] = sign * bi;
+            if flipped {
+                row[next_artificial] = 1.0;
+                self.basis.push(next_artificial);
+                next_artificial += 1;
+            } else {
+                self.basis.push(vars + i);
+            }
+        }
+    }
+
     fn rhs(&self, row: usize) -> f64 {
-        let c = self.data[row].len() - 1;
-        self.data[row][c]
+        self.data[(row + 1) * self.stride - 1]
     }
 
     /// Performs a pivot on `(row, col)`, updating the tableau and objective row.
     fn pivot(&mut self, row: usize, col: usize) {
         self.pivots += 1;
-        let pivot_val = self.data[row][col];
+        let stride = self.stride;
+        let (above, rest) = self.data.split_at_mut(row * stride);
+        let (pivot_row, below) = rest.split_at_mut(stride);
+        let pivot_val = pivot_row[col];
         debug_assert!(pivot_val.abs() > EPSILON, "pivot element too small");
         let inv = 1.0 / pivot_val;
-        for v in self.data[row].iter_mut() {
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
-        let pivot_row = self.data[row].clone();
-        for (r, data_row) in self.data.iter_mut().enumerate() {
-            if r == row {
-                continue;
-            }
-            let factor = data_row[col];
-            if factor.abs() > 0.0 {
-                for (v, pv) in data_row.iter_mut().zip(pivot_row.iter()) {
-                    *v -= factor * pv;
-                }
-            }
+        let others = above
+            .chunks_exact_mut(stride)
+            .chain(below.chunks_exact_mut(stride));
+        for data_row in others {
+            eliminate(data_row, pivot_row, col);
         }
-        let factor = self.obj[col];
-        if factor.abs() > 0.0 {
-            for (v, pv) in self.obj.iter_mut().zip(pivot_row.iter()) {
-                *v -= factor * pv;
-            }
-        }
+        eliminate(&mut self.obj, pivot_row, col);
         self.basis[row] = col;
+    }
+
+    /// Drops `row` from the tableau, keeping the order of the others.
+    fn remove_row(&mut self, row: usize) {
+        let stride = self.stride;
+        self.data.copy_within((row + 1) * stride.., row * stride);
+        self.data.truncate(self.data.len() - stride);
+        self.basis.remove(row);
     }
 
     /// Runs simplex iterations until optimality or unboundedness.
@@ -105,21 +244,24 @@ impl Tableau {
     /// The objective row stores reduced costs for a *maximization*; a column
     /// with a positive reduced cost improves the objective. Bland's rule
     /// (smallest eligible index for both the entering and the leaving
-    /// variable) guarantees termination.
-    fn iterate(&mut self) -> Result<(), Unbounded> {
+    /// variable) guarantees termination.  Only columns below
+    /// `entering_limit` may enter the basis, which bars the artificials in
+    /// phase 2.
+    fn iterate(&mut self, entering_limit: usize) -> Result<(), Unbounded> {
         // A generous iteration cap guards against numerical stalls; with
         // Bland's rule it should never be hit for well-posed inputs.
-        let max_iters = 200 * (self.num_cols + self.data.len() + 16);
+        let max_iters = 200 * (self.stride - 1 + self.basis.len() + 16);
+        let stride = self.stride;
         for _ in 0..max_iters {
-            let entering = (0..self.num_cols).find(|&c| !self.banned[c] && self.obj[c] > EPSILON);
+            let entering = (0..entering_limit).find(|&c| self.obj[c] > EPSILON);
             let Some(col) = entering else {
                 return Ok(());
             };
             let mut leaving: Option<(usize, f64)> = None;
-            for row in 0..self.data.len() {
-                let coeff = self.data[row][col];
+            for (row, data_row) in self.data.chunks_exact(stride).enumerate() {
+                let coeff = data_row[col];
                 if coeff > EPSILON {
-                    let ratio = self.rhs(row) / coeff;
+                    let ratio = data_row[stride - 1] / coeff;
                     match leaving {
                         None => leaving = Some((row, ratio)),
                         Some((best_row, best_ratio)) => {
@@ -142,9 +284,132 @@ impl Tableau {
         // Numerical stall: treat as optimal at the current (feasible) point.
         Ok(())
     }
+
+    /// Phase 1: drives the artificial variables to zero.  Returns `false`
+    /// if the constraints admit no point with `x ≥ 0`.
+    fn phase1(&mut self) -> bool {
+        let num_cols = self.stride - 1;
+        if self.first_artificial == num_cols {
+            return true;
+        }
+        // maximize -(sum of artificials)  ==  minimize sum of artificials
+        self.obj.clear();
+        self.obj.resize(self.stride, 0.0);
+        self.obj[self.first_artificial..num_cols].fill(-1.0);
+        // Price out the basic artificial variables.
+        for (row, &basic) in self.data.chunks_exact(self.stride).zip(&self.basis) {
+            if basic >= self.first_artificial {
+                for (v, rv) in self.obj.iter_mut().zip(row) {
+                    *v += rv;
+                }
+            }
+        }
+        if self.iterate(num_cols).is_err() {
+            // Phase 1 objective is bounded by construction; reaching this
+            // branch indicates numerical trouble, treat as infeasible.
+            return false;
+        }
+        // With the update rule used by `pivot`, the last entry of the
+        // objective row holds the *negated* objective value; for the phase-1
+        // objective (maximize -Σ artificials) it therefore equals Σ artificials.
+        if self.obj[num_cols] > 1e-7 {
+            return false;
+        }
+        // Pivot any artificial variables that remain basic (at value zero)
+        // out of the basis, or drop their (redundant) rows.
+        let mut row = 0;
+        while row < self.basis.len() {
+            if self.basis[row] >= self.first_artificial {
+                let start = row * self.stride;
+                let cells = &self.data[start..start + self.first_artificial];
+                match cells.iter().position(|v| v.abs() > 1e-7) {
+                    Some(col) => self.pivot(row, col),
+                    None => {
+                        self.remove_row(row);
+                        continue;
+                    }
+                }
+            }
+            row += 1;
+        }
+        true
+    }
+
+    /// Phase 2: optimizes `cost` from the feasible basis phase 1 left.
+    fn phase2(&mut self, cost: impl IntoIterator<Item = f64>) -> SimplexOutcome {
+        let n = self.vars;
+        self.cost.clear();
+        self.cost.extend(cost);
+        debug_assert_eq!(self.cost.len(), n, "one objective coefficient per variable");
+        self.obj.clear();
+        self.obj.resize(self.stride, 0.0);
+        self.obj[..n].copy_from_slice(&self.cost);
+        // Price out basic variables so reduced costs of the basis are zero.
+        for (row, &basic) in self.data.chunks_exact(self.stride).zip(&self.basis) {
+            let coeff = self.obj[basic];
+            if coeff.abs() > 0.0 {
+                for (v, rv) in self.obj.iter_mut().zip(row) {
+                    *v -= coeff * rv;
+                }
+            }
+        }
+        if self.iterate(self.first_artificial).is_err() {
+            return SimplexOutcome::Unbounded;
+        }
+
+        let mut x = vec![0.0; n];
+        for (row, &basic) in self.basis.iter().enumerate() {
+            if basic < n {
+                x[basic] = self.rhs(row);
+            }
+        }
+        let objective = x.iter().zip(&self.cost).map(|(xi, ci)| xi * ci).sum();
+        SimplexOutcome::Optimal { x, objective }
+    }
+
+    /// Copies the tableau phase 1 left.
+    fn save(&self) -> Phase1Tableau {
+        Phase1Tableau {
+            data: self.data.clone(),
+            stride: self.stride,
+            basis: self.basis.clone(),
+            vars: self.vars,
+            first_artificial: self.first_artificial,
+        }
+    }
+
+    /// Loads a saved phase-1 tableau.
+    fn restore(&mut self, saved: &Phase1Tableau) {
+        self.data.clear();
+        self.data.extend_from_slice(&saved.data);
+        self.stride = saved.stride;
+        self.basis.clear();
+        self.basis.extend_from_slice(&saved.basis);
+        self.vars = saved.vars;
+        self.first_artificial = saved.first_artificial;
+        self.pivots = 0;
+    }
 }
 
-struct Unbounded;
+/// A dense `A` and `b` given as slices.
+struct Dense<'a> {
+    a: &'a [Vec<f64>],
+    b: &'a [f64],
+}
+
+impl Rows for Dense<'_> {
+    fn count(&self) -> usize {
+        self.b.len()
+    }
+
+    fn rhs(&self, i: usize) -> f64 {
+        self.b[i]
+    }
+
+    fn write(&self, i: usize, out: &mut [f64]) {
+        out.copy_from_slice(&self.a[i]);
+    }
+}
 
 /// Solves `maximize c·x  subject to  A x ≤ b, x ≥ 0`.
 ///
@@ -179,125 +444,7 @@ pub fn solve_standard_form_counted(
             "every row must have one coeff per variable"
         );
     }
-    let m = a.len();
-    let n = c.len();
-
-    // Column layout: [structural 0..n) [slack n..n+m) [artificial ...] [rhs]
-    let mut needs_artificial = vec![false; m];
-    let mut num_artificial = 0usize;
-    for (i, &bi) in b.iter().enumerate() {
-        if bi < -EPSILON {
-            needs_artificial[i] = true;
-            num_artificial += 1;
-        }
-    }
-    let num_cols = n + m + num_artificial;
-
-    let mut data = vec![vec![0.0; num_cols + 1]; m];
-    let mut basis = vec![0usize; m];
-    let mut artificial_cols = Vec::with_capacity(num_artificial);
-    let mut next_artificial = n + m;
-    for i in 0..m {
-        let sign = if needs_artificial[i] { -1.0 } else { 1.0 };
-        for j in 0..n {
-            data[i][j] = sign * a[i][j];
-        }
-        data[i][n + i] = sign; // slack (negated when the row was flipped)
-        data[i][num_cols] = sign * b[i];
-        if needs_artificial[i] {
-            data[i][next_artificial] = 1.0;
-            basis[i] = next_artificial;
-            artificial_cols.push(next_artificial);
-            next_artificial += 1;
-        } else {
-            basis[i] = n + i;
-        }
-    }
-
-    let mut tableau = Tableau {
-        data,
-        basis,
-        obj: vec![0.0; num_cols + 1],
-        num_cols,
-        banned: vec![false; num_cols],
-        pivots: 0,
-    };
-
-    // ---- Phase 1: drive the artificial variables to zero -------------------
-    if num_artificial > 0 {
-        // maximize -(sum of artificials)  ==  minimize sum of artificials
-        for &col in &artificial_cols {
-            tableau.obj[col] = -1.0;
-        }
-        // Price out the basic artificial variables.
-        for row in 0..m {
-            if artificial_cols.contains(&tableau.basis[row]) {
-                let row_data = tableau.data[row].clone();
-                for (v, rv) in tableau.obj.iter_mut().zip(row_data.iter()) {
-                    *v += rv;
-                }
-            }
-        }
-        if tableau.iterate().is_err() {
-            // Phase 1 objective is bounded by construction; reaching this
-            // branch indicates numerical trouble, treat as infeasible.
-            return (SimplexOutcome::Infeasible, tableau.pivots);
-        }
-        // With the update rule used by `pivot`, the last entry of the
-        // objective row holds the *negated* objective value; for the phase-1
-        // objective (maximize -Σ artificials) it therefore equals Σ artificials.
-        let artificial_sum = tableau.obj[num_cols];
-        if artificial_sum > 1e-7 {
-            return (SimplexOutcome::Infeasible, tableau.pivots);
-        }
-        // Pivot any artificial variables that remain basic (at value zero)
-        // out of the basis, or drop their (redundant) rows.
-        let mut row = 0;
-        while row < tableau.data.len() {
-            if artificial_cols.contains(&tableau.basis[row]) {
-                let pivot_col = (0..n + m).find(|&cidx| tableau.data[row][cidx].abs() > 1e-7);
-                match pivot_col {
-                    Some(cidx) => tableau.pivot(row, cidx),
-                    None => {
-                        tableau.data.remove(row);
-                        tableau.basis.remove(row);
-                        continue;
-                    }
-                }
-            }
-            row += 1;
-        }
-        for &col in &artificial_cols {
-            tableau.banned[col] = true;
-        }
-    }
-
-    // ---- Phase 2: optimize the real objective ------------------------------
-    tableau.obj = vec![0.0; num_cols + 1];
-    tableau.obj[..n].copy_from_slice(c);
-    // Price out basic variables so reduced costs of the basis are zero.
-    for row in 0..tableau.data.len() {
-        let basic = tableau.basis[row];
-        let coeff = tableau.obj[basic];
-        if coeff.abs() > 0.0 {
-            let row_data = tableau.data[row].clone();
-            for (v, rv) in tableau.obj.iter_mut().zip(row_data.iter()) {
-                *v -= coeff * rv;
-            }
-        }
-    }
-    if tableau.iterate().is_err() {
-        return (SimplexOutcome::Unbounded, tableau.pivots);
-    }
-
-    let mut x = vec![0.0; n];
-    for (row, &basic) in tableau.basis.iter().enumerate() {
-        if basic < n {
-            x[basic] = tableau.rhs(row);
-        }
-    }
-    let objective = x.iter().zip(c.iter()).map(|(xi, ci)| xi * ci).sum();
-    (SimplexOutcome::Optimal { x, objective }, tableau.pivots)
+    Workspace::with(|ws| ws.solve(c.len(), &Dense { a, b }, c.iter().copied()))
 }
 
 #[cfg(test)]
