@@ -11,7 +11,7 @@
 //!   every section found in the file is checked.
 //!
 //! Checks, per section: the section parses as a JSON object, carries a
-//! `"scale"` tag, and every number in it is finite.  Sections with known
+//! `"scale"` tag, and every number in it is finite (not `null`).  Sections with known
 //! shapes get structural checks on top — the `telemetry` section must
 //! report all seven pipeline stages with live counts, the `trace` section
 //! must have retained well-formed traces and a non-empty export, and the
@@ -19,24 +19,24 @@
 //! positive timings.  Exits non-zero with a message on the first failure,
 //! so a workflow step can gate on it directly.
 
-use kspr_telemetry::{parse_json, JsonValue};
+use kspr::PhaseNanos;
+use kspr_telemetry::{parse_json, JsonValue, Stage};
 
 fn fail(message: impl AsRef<str>) -> ! {
     eprintln!("[check_perf] FAIL: {}", message.as_ref());
     std::process::exit(1);
 }
 
-/// Every number reachable from `value` must be finite (the emitters write
-/// plain decimal, but a NaN/inf regression would render as `NaN`/`inf` and
-/// already fail parsing — this guards the parsed tree end to end anyway).
-fn assert_finite(section: &str, value: &JsonValue) {
+/// Whether every number reachable from `value` is finite.  The writer
+/// renders a NaN/inf as `null` and the emitters write no other `null`, so a
+/// `null` counts as non-finite too.
+fn all_finite(value: &JsonValue) -> bool {
     match value {
-        JsonValue::Number(n) if !n.is_finite() => {
-            fail(format!("section `{section}` contains a non-finite number"));
-        }
-        JsonValue::Array(items) => items.iter().for_each(|v| assert_finite(section, v)),
-        JsonValue::Object(members) => members.iter().for_each(|(_, v)| assert_finite(section, v)),
-        _ => {}
+        JsonValue::Null => false,
+        JsonValue::Number(n) => n.is_finite(),
+        JsonValue::Array(items) => items.iter().all(all_finite),
+        JsonValue::Object(members) => members.iter().all(|(_, v)| all_finite(v)),
+        JsonValue::Bool(_) | JsonValue::String(_) => true,
     }
 }
 
@@ -47,20 +47,6 @@ fn number(section: &str, value: &JsonValue, key: &str) -> f64 {
         .unwrap_or_else(|| fail(format!("section `{section}` is missing numeric `{key}`")))
 }
 
-/// The pipeline stages the `telemetry` section must report (mirrors
-/// `kspr_telemetry::Stage::ALL`).
-const STAGES: [&str; 7] = [
-    "queue",
-    "admission",
-    "batch",
-    "engine",
-    "wal_commit",
-    "ack",
-    "notify",
-];
-
-const PHASES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
-
 fn check_section(name: &str, section: &JsonValue) {
     if section.as_object().is_none() {
         fail(format!("section `{name}` is not a JSON object"));
@@ -68,13 +54,15 @@ fn check_section(name: &str, section: &JsonValue) {
     if section.get("scale").and_then(|v| v.as_str()).is_none() {
         fail(format!("section `{name}` is missing its `scale` tag"));
     }
-    assert_finite(name, section);
+    if !all_finite(section) {
+        fail(format!("section `{name}` contains a non-finite number"));
+    }
     match name {
         "telemetry" => {
             let stages = section
                 .get("stages")
                 .unwrap_or_else(|| fail("telemetry section has no `stages` object"));
-            for stage in STAGES {
+            for stage in Stage::ALL.map(Stage::name) {
                 let entry = stages.get(stage).unwrap_or_else(|| {
                     fail(format!("telemetry section is missing stage `{stage}`"))
                 });
@@ -96,7 +84,7 @@ fn check_section(name: &str, section: &JsonValue) {
             let phases = section
                 .get("phases")
                 .unwrap_or_else(|| fail("trace section has no `phases` object"));
-            for phase in PHASES {
+            for phase in PhaseNanos::NAMES {
                 let entry = phases
                     .get(phase)
                     .unwrap_or_else(|| fail(format!("trace section is missing phase `{phase}`")));
@@ -188,4 +176,24 @@ fn main() {
         fail(format!("{path} has no sections to check"));
     }
     println!("[check_perf] OK: {checked} section(s) of {path} verified");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{all_finite, parse_json, JsonValue};
+
+    #[test]
+    fn a_rendered_nan_fails_the_finite_check() {
+        let ok = parse_json(r#"{"scale": "quick", "rows": [{"secs": 0.5, "ok": true}]}"#);
+        assert!(all_finite(&ok.unwrap()));
+        let section = JsonValue::object([
+            ("scale", "quick".into()),
+            (
+                "rows",
+                vec![JsonValue::object([("secs", f64::NAN.into())])].into(),
+            ),
+        ]);
+        let rendered = parse_json(&section.render()).expect("renders valid JSON");
+        assert!(!all_finite(&rendered), "a NaN rendered as `null` must fail");
+    }
 }

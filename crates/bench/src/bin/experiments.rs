@@ -42,6 +42,7 @@ use kspr_bench::{fmt_secs, measure, measure_batch, Scale, Workload};
 use kspr_datagen::Distribution;
 use kspr_geometry::{ConstraintSystem, Hyperplane, Polytope, Sign};
 use kspr_spatial::{AggregateRTree, IoCostModel, Record};
+use kspr_telemetry::{parse_json, JsonValue};
 use std::time::Instant;
 
 fn main() {
@@ -833,18 +834,8 @@ fn batch(scale: Scale) {
     );
     let focals = w.focals(queries);
     let config = KsprConfig::default();
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {},\n    \"d\": {},\n    \"k\": {},\n    \"queries\": {},\n",
-        p.n_default,
-        p.d_default,
-        p.k_default,
-        focals.len()
-    ));
-    body.push_str("    \"algorithms\": {\n");
-    let algorithms = [Algorithm::Pcta, Algorithm::LpCta];
-    for (i, alg) in algorithms.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for alg in [Algorithm::Pcta, Algorithm::LpCta] {
         let seq = measure(alg, &w.dataset, &focals, p.k_default, &config);
         let batch = measure_batch(alg, &w.dataset, &focals, p.k_default, &config);
         let seq_total = seq.avg_time.as_secs_f64() * focals.len() as f64;
@@ -858,19 +849,23 @@ fn batch(scale: Scale) {
             batch_total,
             speedup,
         );
-        body.push_str(&format!(
-            "      \"{}\": {{\"sequential_secs\": {seq_total:.6}, \"batch_secs\": \
-             {batch_total:.6}, \"speedup\": {speedup:.4}}}{}\n",
-            alg.label(),
-            if i + 1 == algorithms.len() { "" } else { "," },
-        ));
+        let row = [
+            ("sequential_secs", fixed(seq_total, 6)),
+            ("batch_secs", fixed(batch_total, 6)),
+            ("speedup", fixed(speedup, 4)),
+        ];
+        rows.push((alg.label(), JsonValue::object(row)));
     }
-    body.push_str("    }\n  }");
     println!("expected shape: speedup approaches the core count for CPU-bound workloads");
-    match write_bench_perf_section("batch", &body) {
-        Ok(path) => eprintln!("[batch] wrote {path}"),
-        Err(err) => eprintln!("[batch] could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", p.n_default.into()),
+        ("d", p.d_default.into()),
+        ("k", p.k_default.into()),
+        ("queries", focals.len().into()),
+        ("algorithms", JsonValue::object(rows)),
+    ];
+    write_bench_perf_section("batch", JsonValue::object(section));
 }
 
 fn update(scale: Scale) {
@@ -901,15 +896,8 @@ fn update(scale: Scale) {
         "{:<14} {:>8} {:>18} {:>18} {:>10}",
         "query mix", "queries", "incremental (s)", "rebuild (s)", "speedup"
     );
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {},\n    \"k\": {k},\n    \"rounds\": {rounds},\n",
-        p.d_default
-    ));
-    body.push_str("    \"mixes\": {\n");
-    let num_mixes = mixes.len();
-    for (i, (label, focals)) in mixes.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for (label, focals) in mixes {
         let cmp = kspr_bench::measure_update_cycles(
             &w,
             &focals,
@@ -936,21 +924,23 @@ fn update(scale: Scale) {
             cmp.rebuild,
             cmp.speedup(),
         );
-        body.push_str(&format!(
-            "      \"{label}\": {{\"queries\": {}, \"incremental_secs\": {:.6}, \
-             \"rebuild_secs\": {:.6}, \"speedup\": {:.4}}}{}\n",
-            focals.len(),
-            cmp.incremental,
-            cmp.rebuild,
-            cmp.speedup(),
-            if i + 1 == num_mixes { "" } else { "," },
-        ));
+        let row = [
+            ("queries", focals.len().into()),
+            ("incremental_secs", fixed(cmp.incremental, 6)),
+            ("rebuild_secs", fixed(cmp.rebuild, 6)),
+            ("speedup", fixed(cmp.speedup(), 4)),
+        ];
+        rows.push((label, JsonValue::object(row)));
     }
-    body.push_str("    }\n  }");
-    match write_bench_perf_section("update", &body) {
-        Ok(path) => eprintln!("[update] wrote {path}"),
-        Err(err) => eprintln!("[update] could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("k", k.into()),
+        ("rounds", rounds.into()),
+        ("mixes", JsonValue::object(rows)),
+    ];
+    write_bench_perf_section("update", JsonValue::object(section));
     println!(
         "expected shape: incremental maintenance is O(log n + band) per insert / non-band delete \
          (a band-member delete adds one targeted O(n) promotion scan) vs O(n log n + n k) per \
@@ -1032,7 +1022,7 @@ fn serve(scale: Scale) {
         "front-end   {:<8} {:>10} {:>12} {:>16} {:>14}",
         "shards", "queries", "updates", "elapsed (s)", "qps"
     );
-    let mut points: Vec<(usize, usize, f64, u64, u64)> = Vec::new();
+    let mut points = Vec::new();
     let mut last_tombstones = (0usize, 0.0f64);
     for shards in [1usize, 2, 4, 8] {
         let engine = ShardedEngine::new(w.raw.clone(), KsprConfig::default().with_shards(shards));
@@ -1059,13 +1049,13 @@ fn serve(scale: Scale) {
             "            {:<8} {:>10} {:>12} {:>16.3} {:>14.1}",
             shards, answered, stats.updates, elapsed, qps
         );
-        points.push((
-            shards,
-            answered,
-            qps,
-            stats.batches,
-            stats.largest_batch as u64,
-        ));
+        points.push(JsonValue::object([
+            ("shards", shards.into()),
+            ("queries", answered.into()),
+            ("qps", fixed(qps, 3)),
+            ("run_batch_calls", stats.batches.into()),
+            ("largest_batch", stats.largest_batch.into()),
+        ]));
         last_tombstones = (engine.tombstone_count(), engine.tombstone_ratio());
     }
     report_tombstones(last_tombstones.0, last_tombstones.1);
@@ -1115,60 +1105,31 @@ fn serve(scale: Scale) {
          per-shard k-skybands — >= 1.5x at 4 shards on the steady-state batch workload; \
          competitive queries are arrangement-bound, so their gain is small"
     );
-    match write_bench_perf_serve(
-        scale,
-        n,
-        p.d_default,
-        k,
-        &points,
-        burst,
-        degraded_stats.degraded_to_approx,
-        shed_stats.rejections.overloaded,
-    ) {
-        Ok(path) => eprintln!("[serve] wrote {path}"),
-        Err(err) => eprintln!("[serve] could not write BENCH_perf.json: {err}"),
-    }
-}
-
-/// Emits the `serve` experiment's front-end sweep into the `"serve"` section
-/// of `BENCH_perf.json`: wire-facing qps per shard count plus the admission
-/// counters of the degradation / load-shedding demos.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_perf_serve(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    k: usize,
-    points: &[(usize, usize, f64, u64, u64)],
-    burst: usize,
-    degraded: u64,
-    shed: u64,
-) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"k\": {k},\n"
-    ));
-    out.push_str("    \"algorithm\": \"LPCTA\",\n");
-    out.push_str(
-        "    \"workload\": \"submit_many batches interleaved with insert/delete pairs\",\n",
-    );
-    out.push_str("    \"shard_scaling\": [\n");
-    for (i, (shards, queries, qps, batches, largest)) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"shards\": {shards}, \"queries\": {queries}, \"qps\": {qps:.3}, \
-             \"run_batch_calls\": {batches}, \"largest_batch\": {largest}}}{}\n",
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"admission\": {{\"burst\": {burst}, \"degraded_to_approx\": {degraded}, \
-         \"rejected_overloaded\": {shed}}}\n"
-    ));
-    out.push_str("  }");
-    write_bench_perf_section("serve", &out)
+    let admission = [
+        ("burst", burst.into()),
+        (
+            "degraded_to_approx",
+            degraded_stats.degraded_to_approx.into(),
+        ),
+        (
+            "rejected_overloaded",
+            shed_stats.rejections.overloaded.into(),
+        ),
+    ];
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("k", k.into()),
+        ("algorithm", "LPCTA".into()),
+        (
+            "workload",
+            "submit_many batches interleaved with insert/delete pairs".into(),
+        ),
+        ("shard_scaling", points.into()),
+        ("admission", JsonValue::object(admission)),
+    ];
+    write_bench_perf_section("serve", JsonValue::object(section));
 }
 
 /// The `recovery` experiment: what durability costs while serving (WAL
@@ -1183,7 +1144,7 @@ fn recovery(scale: Scale) {
     );
     let p = params(scale);
     let (n, updates, standing) = match scale {
-        Scale::Quick => (2_000, 300, 8),
+        Scale::Quick => (2_000, 300usize, 8),
         Scale::Full => (20_000, 3_000, 64),
     };
     let w = Workload::synthetic(Distribution::Independent, n, p.d_default, p.k_default, 177);
@@ -1294,58 +1255,23 @@ fn recovery(scale: Scale) {
          write+fsync per update batch); recovery is replay-bound, linear in the WAL tail"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    match write_bench_perf_recovery(
-        scale,
-        n,
-        p.d_default,
-        updates,
-        volatile_secs,
-        durable_secs,
-        stats.wal_commits,
-        wal_bytes,
-        standing,
-        recover_secs,
-    ) {
-        Ok(path) => eprintln!("[recovery] wrote {path}"),
-        Err(err) => eprintln!("[recovery] could not write BENCH_perf.json: {err}"),
-    }
-}
-
-/// Emits the `recovery` experiment's measurements into the `"recovery"`
-/// section of `BENCH_perf.json`.
-#[allow(clippy::too_many_arguments)]
-fn write_bench_perf_recovery(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    updates: usize,
-    volatile_secs: f64,
-    durable_secs: f64,
-    wal_commits: u64,
-    wal_bytes: u64,
-    standing: usize,
-    recover_secs: f64,
-) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!("    \"n\": {n},\n    \"d\": {d},\n"));
-    out.push_str(&format!("    \"updates\": {updates},\n"));
-    out.push_str(&format!(
-        "    \"volatile_secs\": {volatile_secs:.6},\n    \"durable_secs\": {durable_secs:.6},\n"
-    ));
-    out.push_str(&format!(
-        "    \"durable_overhead\": {:.3},\n",
-        durable_secs / volatile_secs.max(1e-12)
-    ));
-    out.push_str(&format!(
-        "    \"wal_commits\": {wal_commits},\n    \"replayed_wal_bytes\": {wal_bytes},\n"
-    ));
-    out.push_str(&format!(
-        "    \"standing_reregistered\": {standing},\n    \"recover_secs\": {recover_secs:.6}\n"
-    ));
-    out.push_str("  }");
-    write_bench_perf_section("recovery", &out)
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("updates", updates.into()),
+        ("volatile_secs", fixed(volatile_secs, 6)),
+        ("durable_secs", fixed(durable_secs, 6)),
+        (
+            "durable_overhead",
+            fixed(durable_secs / volatile_secs.max(1e-12), 3),
+        ),
+        ("wal_commits", stats.wal_commits.into()),
+        ("replayed_wal_bytes", wal_bytes.into()),
+        ("standing_reregistered", standing.into()),
+        ("recover_secs", fixed(recover_secs, 6)),
+    ];
+    write_bench_perf_section("recovery", JsonValue::object(section));
 }
 
 /// Beyond the paper: the observability pipeline itself.  Drives a mixed
@@ -1447,17 +1373,8 @@ fn telemetry(scale: Scale) {
         "{:<12} {:>10} {:>12} {:>12} {:>12}",
         "stage", "count", "p50 (us)", "p95 (us)", "p99 (us)"
     );
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!("    \"n\": {n},\n    \"d\": {},\n", p.d_default));
-    body.push_str(&format!(
-        "    \"queries\": {queries},\n    \"updates\": {update_round},\n"
-    ));
-    body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
-    body.push_str(&format!("    \"slow_queries_retained\": {},\n", slow.len()));
-    body.push_str("    \"stages\": {\n");
-    for (i, stage) in Stage::ALL.iter().enumerate() {
+    let mut stages = Vec::new();
+    for stage in Stage::ALL {
         let h = snap
             .histogram(&format!("kspr_stage_{}_ns", stage.name()))
             .expect("stage histogram");
@@ -1469,19 +1386,8 @@ fn telemetry(scale: Scale) {
             h.quantile(0.95) as f64 / 1e3,
             h.p99() as f64 / 1e3,
         );
-        body.push_str(&format!(
-            "      \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-            stage.name(),
-            h.count(),
-            h.p50(),
-            h.quantile(0.95),
-            h.p99(),
-            h.max(),
-            if i + 1 == Stage::ALL.len() { "" } else { "," },
-        ));
+        stages.push((stage.name(), percentiles(h)));
     }
-    body.push_str("    }\n");
-    body.push_str("  }");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -1489,10 +1395,17 @@ fn telemetry(scale: Scale) {
         "expected shape: engine time dominates the exact queries; queue wait grows with \
          interleaved updates; WAL commits are fsync-bound"
     );
-    match write_bench_perf_section("telemetry", &body) {
-        Ok(path) => eprintln!("[telemetry] wrote {path}"),
-        Err(err) => eprintln!("[telemetry] could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("queries", queries.into()),
+        ("updates", update_round.into()),
+        ("wall_secs", fixed(wall_secs, 6)),
+        ("slow_queries_retained", slow.len().into()),
+        ("stages", JsonValue::object(stages)),
+    ];
+    write_bench_perf_section("telemetry", JsonValue::object(section));
 }
 
 /// Beyond the paper: end-to-end span tracing over the wire.  Sends traced
@@ -1503,7 +1416,6 @@ fn telemetry(scale: Scale) {
 /// emitted as the `"trace"` section of `BENCH_perf.json`.
 fn trace(scale: Scale) {
     use kspr_serve::{NetServer, ServeOptions, Server, ShardedEngine};
-    use kspr_telemetry::parse_json;
     use kspr_wire::{WireClient, WireRequest, WireResponse};
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
@@ -1605,24 +1517,8 @@ fn trace(scale: Scale) {
         "phase", "count", "p50 (us)", "p95 (us)", "p99 (us)"
     );
     let snap = handle.metrics();
-    const PHASES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!("    \"n\": {n},\n    \"d\": {},\n", p.d_default));
-    body.push_str(&format!(
-        "    \"traced_requests\": {},\n    \"retained_traces\": {},\n",
-        queries + queries.div_ceil(4),
-        retained.len()
-    ));
-    body.push_str(&format!(
-        "    \"spans_retained\": {spans_retained},\n    \"export_events\": {events},\n"
-    ));
-    body.push_str(&format!(
-        "    \"export_bytes\": {export_bytes},\n    \"export_secs\": {export_secs:.6},\n"
-    ));
-    body.push_str(&format!("    \"wall_secs\": {wall_secs:.6},\n"));
-    body.push_str("    \"phases\": {\n");
-    for (i, phase) in PHASES.iter().enumerate() {
+    let mut phases = Vec::new();
+    for phase in kspr::PhaseNanos::NAMES {
         let h = snap
             .histogram(&format!("kspr_phase_{phase}_ns"))
             .expect("phase histogram");
@@ -1634,18 +1530,8 @@ fn trace(scale: Scale) {
             h.quantile(0.95) as f64 / 1e3,
             h.p99() as f64 / 1e3,
         );
-        body.push_str(&format!(
-            "      \"{phase}\": {{\"count\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-            h.count(),
-            h.p50(),
-            h.quantile(0.95),
-            h.p99(),
-            h.max(),
-            if i + 1 == PHASES.len() { "" } else { "," },
-        ));
+        phases.push((phase, percentiles(h)));
     }
-    body.push_str("    }\n  }");
 
     drop(client);
     net.stop();
@@ -1655,10 +1541,20 @@ fn trace(scale: Scale) {
         "expected shape: expansion (with its LP solves) dominates prep for competitive \
          focals; the export stays linear in the retained span count"
     );
-    match write_bench_perf_section("trace", &body) {
-        Ok(path) => eprintln!("[trace] wrote {path}"),
-        Err(err) => eprintln!("[trace] could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("traced_requests", (queries + queries.div_ceil(4)).into()),
+        ("retained_traces", retained.len().into()),
+        ("spans_retained", spans_retained.into()),
+        ("export_events", events.into()),
+        ("export_bytes", export_bytes.into()),
+        ("export_secs", fixed(export_secs, 6)),
+        ("wall_secs", fixed(wall_secs, 6)),
+        ("phases", JsonValue::object(phases)),
+    ];
+    write_bench_perf_section("trace", JsonValue::object(section));
 }
 
 /// Prints the live/tombstone slot accounting of a long-running engine.
@@ -1793,7 +1689,19 @@ fn monitor(scale: Scale) {
             point.visited_per_update(),
             point.pruned_per_update(),
         );
-        points.push(point);
+        points.push(JsonValue::object([
+            ("queries", point.registered.into()),
+            ("updates", point.updates.into()),
+            ("batch", point.batch.into()),
+            ("indexed_secs_per_update", fixed(point.indexed, 9)),
+            ("full_scan_secs_per_update", fixed(point.full_scan, 9)),
+            ("speedup", fixed(point.speedup(), 3)),
+            ("visited_per_update", fixed(point.visited_per_update(), 3)),
+            (
+                "index_pruned_per_update",
+                fixed(point.pruned_per_update(), 3),
+            ),
+        ]));
     }
     println!(
         "expected shape: full-scan cost grows linearly with the registry while the \
@@ -1801,17 +1709,21 @@ fn monitor(scale: Scale) {
          registry), so the gap widens ~10x per decade; >= 10x at 10^4 is the \
          kspr-bench lib gate"
     );
-    match write_bench_perf_monitor(
-        scale,
-        n,
-        p.d_default,
-        max_k,
-        config.monitor_batch_window,
-        &points,
-    ) {
-        Ok(path) => println!("wrote {path} (monitor section)"),
-        Err(err) => eprintln!("could not write BENCH_perf.json: {err}"),
-    }
+    let algorithms = ["LPCTA", "PCTA", "CTA", "KSKYBAND"].map(JsonValue::from);
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("max_k", max_k.into()),
+        ("batch_window", config.monitor_batch_window.into()),
+        ("algorithms", JsonValue::Array(algorithms.into())),
+        (
+            "baseline",
+            "full-scan registry classified after every single update".into(),
+        ),
+        ("points", points.into()),
+    ];
+    write_bench_perf_section("monitor", JsonValue::object(section));
 
     // The serving front-end: subscriptions streaming result deltas through
     // the dispatcher while updates flow, serialized with the update stream.
@@ -1899,17 +1811,10 @@ fn approx(scale: Scale) {
         "speedup",
         "max err"
     );
-    let mut body = String::from("{\n");
-    body.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    body.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {},\n    \"k\": {k},\n    \"confidence\": 0.95,\n",
-        p.d_default
-    ));
-    body.push_str("    \"frontier\": {\n");
-    const EPSILONS: [f64; 3] = [0.1, 0.05, 0.02];
-    for (m, (label, focals)) in mixes.iter().enumerate() {
-        body.push_str(&format!("      \"{label}\": [\n"));
-        for (e, eps) in EPSILONS.into_iter().enumerate() {
+    let mut frontier = Vec::new();
+    for (label, focals) in &mixes {
+        let mut rows = Vec::new();
+        for eps in [0.1, 0.05, 0.02] {
             let budget = ErrorBudget::new(eps, 0.95);
             let cmp =
                 kspr_bench::measure_approx_frontier(&w, focals, k, &config, &budget, rounds, 85);
@@ -1933,29 +1838,27 @@ fn approx(scale: Scale) {
                 cmp.speedup(),
                 cmp.max_error,
             );
-            body.push_str(&format!(
-                "        {{\"epsilon\": {eps}, \"samples\": {}, \"candidates\": {}, \
-                 \"exact_secs\": {:.6}, \"approx_secs\": {:.6}, \"speedup\": {:.4}, \
-                 \"max_error\": {:.6}}}{}\n",
-                cmp.samples,
-                cmp.candidates,
-                cmp.exact,
-                cmp.approx,
-                cmp.speedup(),
-                cmp.max_error,
-                if e + 1 == EPSILONS.len() { "" } else { "," },
-            ));
+            rows.push(JsonValue::object([
+                ("epsilon", eps.into()),
+                ("samples", cmp.samples.into()),
+                ("candidates", cmp.candidates.into()),
+                ("exact_secs", fixed(cmp.exact, 6)),
+                ("approx_secs", fixed(cmp.approx, 6)),
+                ("speedup", fixed(cmp.speedup(), 4)),
+                ("max_error", fixed(cmp.max_error, 6)),
+            ]));
         }
-        body.push_str(&format!(
-            "      ]{}\n",
-            if m + 1 == mixes.len() { "" } else { "," }
-        ));
+        frontier.push((*label, rows.into()));
     }
-    body.push_str("    }\n  }");
-    match write_bench_perf_section("approx", &body) {
-        Ok(path) => eprintln!("[approx] wrote {path}"),
-        Err(err) => eprintln!("[approx] could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("k", k.into()),
+        ("confidence", 0.95.into()),
+        ("frontier", JsonValue::object(frontier)),
+    ];
+    write_bench_perf_section("approx", JsonValue::object(section));
 
     // Auto routing: the arrangement-cost estimate (band^work_dim) against
     // the default threshold, across (k, d).  Small k / low d stay exact;
@@ -2079,16 +1982,17 @@ fn parallel(scale: Scale, workers: Option<&str>) {
         "query mix", "workers", "single query (s)", "batch q/s", "speedup", "par. inserts"
     );
     let mut sweeps = Vec::new();
-    for (label, focals) in &mixes {
+    for (label, focals) in mixes {
         let sweep = measure_parallel_scaling(
             &w,
-            focals,
+            &focals,
             k,
             &config,
             Algorithm::Pcta,
             &worker_counts,
             rounds,
         );
+        let mut points = Vec::new();
         for point in &sweep.points {
             println!(
                 "{:<14} {:>8} {:>18.5} {:>12.2} {:>9.2}x {:>14}",
@@ -2099,8 +2003,22 @@ fn parallel(scale: Scale, workers: Option<&str>) {
                 sweep.speedup_at(point.workers),
                 point.parallel_inserts,
             );
+            points.push(JsonValue::object([
+                ("workers", point.workers.into()),
+                ("single_query_secs", fixed(point.single_query_secs, 6)),
+                ("batch_qps", fixed(point.batch_qps, 3)),
+                (
+                    "speedup_vs_1_worker",
+                    fixed(sweep.speedup_at(point.workers), 3),
+                ),
+                ("parallel_inserts", point.parallel_inserts.into()),
+            ]));
         }
-        sweeps.push((*label, sweep));
+        sweeps.push(JsonValue::object([
+            ("mix", label.into()),
+            ("queries", sweep.queries.into()),
+            ("points", points.into()),
+        ]));
     }
     println!(
         "expected shape: on the competitive mix the single-query speedup approaches the \
@@ -2109,10 +2027,20 @@ fn parallel(scale: Scale, workers: Option<&str>) {
          reach the CellTree.  Results are asserted bit-identical across worker counts."
     );
 
-    match write_bench_perf(scale, cores, n, p.d_default, k, &sweeps) {
-        Ok(path) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write BENCH_perf.json: {err}"),
-    }
+    let section = [
+        ("scale", scale_label(scale).into()),
+        ("cores", cores.into()),
+        ("n", n.into()),
+        ("d", p.d_default.into()),
+        ("k", k.into()),
+        ("algorithm", "PCTA".into()),
+        (
+            "lp_cta_excluded",
+            "look-ahead bound reports depend on expansion order; always sequential".into(),
+        ),
+        ("mixes", sweeps.into()),
+    ];
+    write_bench_perf_section("parallel", JsonValue::object(section));
 }
 
 fn scale_label(scale: Scale) -> &'static str {
@@ -2123,178 +2051,53 @@ fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-/// Emits the `parallel` experiment's measurements into the `"parallel"`
-/// section of `BENCH_perf.json` (in the working directory — the repo root
-/// when run via `cargo run`).  Hand-rolled like the repo's other
-/// serializers: the schema is flat enough that a serde dependency buys
-/// nothing.
-fn write_bench_perf(
-    scale: Scale,
-    cores: usize,
-    n: usize,
-    d: usize,
-    k: usize,
-    sweeps: &[(&str, kspr_bench::ParallelScaling)],
-) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!("    \"cores\": {cores},\n"));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"k\": {k},\n"
-    ));
-    out.push_str("    \"algorithm\": \"PCTA\",\n");
-    out.push_str("    \"lp_cta_excluded\": \"look-ahead bound reports depend on expansion order; always sequential\",\n");
-    out.push_str("    \"mixes\": [\n");
-    for (i, (label, sweep)) in sweeps.iter().enumerate() {
-        out.push_str("      {\n");
-        out.push_str(&format!("        \"mix\": \"{label}\",\n"));
-        out.push_str(&format!("        \"queries\": {},\n", sweep.queries));
-        out.push_str("        \"points\": [\n");
-        for (j, point) in sweep.points.iter().enumerate() {
-            out.push_str(&format!(
-                "          {{\"workers\": {}, \"single_query_secs\": {:.6}, \"batch_qps\": {:.3}, \
-                 \"speedup_vs_1_worker\": {:.3}, \"parallel_inserts\": {}}}{}\n",
-                point.workers,
-                point.single_query_secs,
-                point.batch_qps,
-                sweep.speedup_at(point.workers),
-                point.parallel_inserts,
-                if j + 1 == sweep.points.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("        ]\n");
-        out.push_str(&format!(
-            "      }}{}\n",
-            if i + 1 == sweeps.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ]\n  }");
-    write_bench_perf_section("parallel", &out)
+/// `x` rounded to `places` decimals: the precision `BENCH_perf.json` keeps.
+fn fixed(x: f64, places: i32) -> JsonValue {
+    let unit = 10f64.powi(places);
+    ((x * unit).round() / unit).into()
 }
 
-/// Emits the `monitor` experiment's registry-scaling sweep into the
-/// `"monitor"` section of `BENCH_perf.json`.
-fn write_bench_perf_monitor(
-    scale: Scale,
-    n: usize,
-    d: usize,
-    max_k: usize,
-    batch_window: usize,
-    points: &[kspr_bench::RegistryScalingPoint],
-) -> std::io::Result<String> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale_label(scale)));
-    out.push_str(&format!(
-        "    \"n\": {n},\n    \"d\": {d},\n    \"max_k\": {max_k},\n"
-    ));
-    out.push_str(&format!("    \"batch_window\": {batch_window},\n"));
-    out.push_str("    \"algorithms\": [\"LPCTA\", \"PCTA\", \"CTA\", \"KSKYBAND\"],\n");
-    out.push_str(
-        "    \"baseline\": \"full-scan registry classified after every single update\",\n",
-    );
-    out.push_str("    \"points\": [\n");
-    for (i, point) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"queries\": {}, \"updates\": {}, \"batch\": {}, \
-             \"indexed_secs_per_update\": {:.9}, \"full_scan_secs_per_update\": {:.9}, \
-             \"speedup\": {:.3}, \"visited_per_update\": {:.3}, \"index_pruned_per_update\": {:.3}}}{}\n",
-            point.registered,
-            point.updates,
-            point.batch,
-            point.indexed,
-            point.full_scan,
-            point.speedup(),
-            point.visited_per_update(),
-            point.pruned_per_update(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("    ]\n  }");
-    write_bench_perf_section("monitor", &out)
+/// A latency histogram's count and percentiles, as one `BENCH_perf.json` row.
+fn percentiles(h: &kspr_telemetry::HistogramSnapshot) -> JsonValue {
+    JsonValue::object([
+        ("count", h.count().into()),
+        ("p50_ns", h.p50().into()),
+        ("p95_ns", h.quantile(0.95).into()),
+        ("p99_ns", h.p99().into()),
+        ("max_ns", h.max().into()),
+    ])
 }
 
-/// Writes one experiment's section into `BENCH_perf.json`, preserving every
-/// other known section already in the file, so the sectioned experiments
-/// compose regardless of order.  `body` is the section's rendered JSON
-/// object (starting at `{`).
-fn write_bench_perf_section(section: &str, body: &str) -> std::io::Result<String> {
-    const SECTIONS: [&str; 9] = [
-        "approx",
-        "batch",
-        "monitor",
-        "parallel",
-        "recovery",
-        "serve",
-        "telemetry",
-        "trace",
-        "update",
-    ];
-    let path = "BENCH_perf.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut out = String::from("{\n");
-    let mut parts: Vec<(&str, String)> = Vec::new();
-    for name in SECTIONS {
-        if name == section {
-            parts.push((name, body.to_string()));
-        } else if let Some(kept) = extract_json_section(&existing, name) {
-            parts.push((name, kept));
-        }
+/// Writes `value` as the `section` member of `BENCH_perf.json` (in the
+/// working directory — the repo root when run via `cargo run`), keeping
+/// every other section already in the file, so the sectioned experiments
+/// compose regardless of order.
+fn write_bench_perf_section(section: &str, value: JsonValue) {
+    const PATH: &str = "BENCH_perf.json";
+    let existing = std::fs::read_to_string(PATH).unwrap_or_default();
+    let document = with_section(&existing, section, value).render() + "\n";
+    match std::fs::write(PATH, document) {
+        Ok(()) => eprintln!("[{section}] wrote {PATH}"),
+        Err(err) => eprintln!("[{section}] could not write {PATH}: {err}"),
     }
-    for (i, (name, body)) in parts.iter().enumerate() {
-        out.push_str(&format!("  \"{name}\": {body}"));
-        out.push_str(if i + 1 == parts.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)?;
-    Ok(path.to_string())
 }
 
-/// Extracts the raw `{...}` object of a top-level `"name": {` key from the
-/// hand-rolled `BENCH_perf.json` (depth tracking, skipping string
-/// literals).  Only keys of the outermost object match: a nested key of the
-/// same name (a monitor point's `"batch": 32`) is never taken for the
-/// section.  Returns `None` when the key is absent — e.g. an empty file, or
-/// the pre-section flat layout, which is simply superseded.
-fn extract_json_section(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\"");
-    let mut depth = 0usize;
-    let mut string_start = None;
-    let mut escaped = false;
-    let mut section_open = None;
-    for (i, c) in text.char_indices() {
-        if let Some(start) = string_start {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                string_start = None;
-                if depth == 1 && section_open.is_none() && text[start..=i] == key {
-                    let value = text[i + 1..].trim_start().strip_prefix(':');
-                    if let Some(value) = value.map(str::trim_start) {
-                        if value.starts_with('{') {
-                            section_open = Some(text.len() - value.len());
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-        match c {
-            '"' => string_start = Some(i),
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth = depth.checked_sub(1)?;
-                if let (Some(open), '}', 1) = (section_open, c, depth) {
-                    return Some(text[open..=i].to_string());
-                }
-            }
-            _ => {}
+/// The JSON object in `text` (an empty one if `text` is missing or not an
+/// object) with its top-level member `section` replaced by `value`, or
+/// inserted in name order.
+fn with_section(text: &str, section: &str, value: JsonValue) -> JsonValue {
+    let mut members = match parse_json(text) {
+        Some(JsonValue::Object(members)) => members,
+        _ => Vec::new(),
+    };
+    match members.iter_mut().find(|(name, _)| name == section) {
+        Some(member) => member.1 = value,
+        None => {
+            let at = members.partition_point(|(name, _)| name.as_str() < section);
+            members.insert(at, (section.to_string(), value));
         }
     }
-    None
+    JsonValue::Object(members)
 }
 
 fn fig24(scale: Scale) {
@@ -2331,33 +2134,44 @@ fn fig24(scale: Scale) {
 
 #[cfg(test)]
 mod tests {
-    use super::extract_json_section;
+    use super::{parse_json, with_section, JsonValue};
 
     #[test]
-    fn section_extraction_matches_top_level_keys_only() {
+    fn splicing_a_section_replaces_top_level_keys_only() {
         // The `batch` section is missing; the monitor points carry a nested
-        // `"batch": 32` that must not be captured as the section.
+        // `"batch": 32` that must not be taken for the section.
         let text = "{\n  \"monitor\": {\"scale\": \"quick\", \"points\": [\n    \
                     {\"queries\": 1000, \"updates\": 256, \"batch\": 32, \"speedup\": 22.7}\n  ]},\n  \
                     \"update\": {\"scale\": \"quick\", \"note\": \"a \\\"batch\\\": {} string\"}\n}\n";
-        assert_eq!(extract_json_section(text, "batch"), None);
+        let before = parse_json(text).expect("valid document");
+        let batch = JsonValue::object([("scale", "quick".into())]);
+        let after = with_section(text, "batch", batch.clone());
+        let names: Vec<&str> = after
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
         assert_eq!(
-            extract_json_section(text, "monitor").as_deref(),
-            Some(
-                "{\"scale\": \"quick\", \"points\": [\n    {\"queries\": 1000, \"updates\": 256, \
-                 \"batch\": 32, \"speedup\": 22.7}\n  ]}"
-            )
+            names,
+            ["batch", "monitor", "update"],
+            "inserted in name order"
         );
-        assert_eq!(
-            extract_json_section(text, "update").as_deref(),
-            Some("{\"scale\": \"quick\", \"note\": \"a \\\"batch\\\": {} string\"}")
-        );
-        // A top-level section after a nested key of the same name is found.
-        let text = "{\"monitor\": {\"batch\": {\"x\": 1}}, \"batch\": {\"scale\": \"quick\"}}";
-        assert_eq!(
-            extract_json_section(text, "batch").as_deref(),
-            Some("{\"scale\": \"quick\"}")
-        );
-        assert_eq!(extract_json_section("", "batch"), None);
+        assert_eq!(after.get("batch"), Some(&batch));
+        for kept in ["monitor", "update"] {
+            assert_eq!(after.get(kept), before.get(kept), "`{kept}` is untouched");
+        }
+        // A second write replaces the section in place, and the rendered
+        // document parses back to the same value.
+        let replaced = JsonValue::object([("scale", "full".into())]);
+        let again = with_section(&after.render(), "batch", replaced.clone());
+        assert_eq!(again.get("batch"), Some(&replaced));
+        assert_eq!(again.as_object().unwrap().len(), 3);
+        assert_eq!(parse_json(&again.render()), Some(again.clone()));
+        // A missing or unparsable file starts from an empty object.
+        for text in ["", "not json", "[1]"] {
+            let fresh = with_section(text, "batch", batch.clone());
+            assert_eq!(fresh, JsonValue::object([("batch", batch.clone())]));
+        }
     }
 }

@@ -1,13 +1,15 @@
 //! Benchmark harness for the kSPR reproduction.
 //!
-//! This crate hosts two things:
+//! This crate hosts three things:
 //!
 //! * a small library of **workload builders** and **measurement helpers**
-//!   shared by the Criterion benches (`benches/`) and the `experiments`
-//!   binary, and
+//!   shared by the `experiments` binary and the repository benchmark
+//!   (`perfbench/`),
 //! * the `experiments` binary itself, which regenerates every table and
 //!   figure of the paper's evaluation (Section 7 and Appendices A–D) and
-//!   prints the same rows / series the paper reports.
+//!   prints the same rows / series the paper reports, and
+//! * the `check_perf` binary, which gates the `BENCH_perf.json` sections
+//!   the experiments write.
 //!
 //! ## Workload scaling
 //!
@@ -1005,19 +1007,6 @@ pub fn measure_parallel_scaling(
     }
 }
 
-/// Runs one query and returns the result together with its wall-clock time.
-pub fn timed_query(
-    algorithm: Algorithm,
-    dataset: &Dataset,
-    focal: &[f64],
-    k: usize,
-    config: &KsprConfig,
-) -> (Duration, KsprResult) {
-    let start = Instant::now();
-    let result = kspr::run(algorithm, dataset, focal, k, config);
-    (start.elapsed(), result)
-}
-
 /// Pretty-prints a duration in seconds with millisecond resolution.
 pub fn fmt_secs(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
@@ -1039,14 +1028,6 @@ impl Scale {
         match s {
             "full" => Scale::Full,
             _ => Scale::Quick,
-        }
-    }
-
-    /// Default dataset cardinality for this scale.
-    pub fn default_n(&self) -> usize {
-        match self {
-            Scale::Quick => 2_000,
-            Scale::Full => 20_000,
         }
     }
 
@@ -1506,6 +1487,5 @@ mod tests {
         assert_eq!(Scale::parse("full"), Scale::Full);
         assert_eq!(Scale::parse("quick"), Scale::Quick);
         assert_eq!(Scale::parse("garbage"), Scale::Quick);
-        assert!(Scale::Full.default_n() > Scale::Quick.default_n());
     }
 }

@@ -37,11 +37,6 @@ pub struct KsprConfig {
     /// Fanout of the query-local aggregate R-tree built over the records that
     /// remain after the dominance-based preprocessing of Section 3.1.
     pub rtree_fanout: usize,
-    /// Cache the focal-independent shared preprocessing (k-skyband +
-    /// dominance graph) on the engine across `run_batch` calls, keyed by `k`
-    /// and patched incrementally on dataset updates.  Disabling it restores
-    /// the compute-per-batch behavior (useful to ablate the cache).
-    pub cache_shared_prep: bool,
     /// Number of dataset shards the serving front-end (`kspr-serve`)
     /// partitions the dataset into.  `1` (the default) serves every query
     /// through a single [`crate::engine::QueryEngine`]; larger values fan
@@ -98,7 +93,6 @@ impl Default for KsprConfig {
             use_witness: true,
             bound_mode: BoundMode::Fast,
             rtree_fanout: 32,
-            cache_shared_prep: true,
             shards: 1,
             merged_cache_cap: 8,
             tier: QueryTier::Exact,
@@ -137,13 +131,6 @@ impl KsprConfig {
     /// that isolate the CellTree work).
     pub fn without_finalization(mut self) -> Self {
         self.finalize = false;
-        self
-    }
-
-    /// Convenience: disable the engine-level shared-prep cache (compute the
-    /// batch preprocessing from scratch on every `run_batch` call).
-    pub fn without_prep_cache(mut self) -> Self {
-        self.cache_shared_prep = false;
         self
     }
 
@@ -222,7 +209,6 @@ mod tests {
         assert!(c.use_lemma2);
         assert!(c.use_witness);
         assert_eq!(c.bound_mode, BoundMode::Fast);
-        assert!(c.cache_shared_prep);
         assert!(c.finalize);
         assert_eq!(c.shards, 1, "serving defaults to a single shard");
         assert_eq!(c.merged_cache_cap, 8);
@@ -314,11 +300,8 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let c = KsprConfig::with_bound_mode(BoundMode::Record)
-            .without_finalization()
-            .without_prep_cache();
+        let c = KsprConfig::with_bound_mode(BoundMode::Record).without_finalization();
         assert_eq!(c.bound_mode, BoundMode::Record);
         assert!(!c.finalize);
-        assert!(!c.cache_shared_prep);
     }
 }

@@ -672,16 +672,8 @@ impl QueryEngine {
     /// Cache discipline: an exact-`k` hit is free; a larger cached band
     /// serves `k` through an `O(band)` view; only a genuinely larger `k`
     /// recomputes (and the old primary is retired into the view map, staying
-    /// servable).  With [`KsprConfig::cache_shared_prep`] disabled this
-    /// recomputes per call — the pre-cache behavior, kept for ablations.
+    /// servable).
     fn shared_prep(&self, k: usize) -> Arc<SharedPrep> {
-        let compute = || {
-            self.prep_computes.fetch_add(1, Ordering::Relaxed);
-            Arc::new(SharedPrep::compute(self.store.dataset(), k))
-        };
-        if !self.config.cache_shared_prep {
-            return compute();
-        }
         let mut cache = self.lock_cache();
         // Updates patch the cache synchronously, so a stale epoch can only be
         // seen if the store was swapped out from under us; drop everything.
@@ -700,7 +692,8 @@ impl QueryEngine {
                 view
             }
             _ => {
-                let prep = compute();
+                self.prep_computes.fetch_add(1, Ordering::Relaxed);
+                let prep = Arc::new(SharedPrep::compute(self.store.dataset(), k));
                 if let Some(old) = cache.primary.take() {
                     // The retired primary is still the exact band for its k.
                     cache.views.insert(old.k(), old);
@@ -1705,16 +1698,6 @@ mod tests {
         assert_eq!(engine.shared_prep_computes(), 1);
         assert_eq!(engine.shared_prep_for(2).k(), 2, "smaller k is a view");
         assert_eq!(engine.shared_prep_computes(), 1);
-    }
-
-    #[test]
-    fn disabling_the_prep_cache_recomputes_per_batch() {
-        let (dataset, _, _) = figure1();
-        let engine = QueryEngine::new(&dataset, KsprConfig::default().without_prep_cache());
-        let focals = vec![vec![5.0, 5.0, 7.0]];
-        engine.run_batch(Algorithm::LpCta, &focals, 3);
-        engine.run_batch(Algorithm::LpCta, &focals, 3);
-        assert_eq!(engine.shared_prep_computes(), 2);
     }
 
     #[test]

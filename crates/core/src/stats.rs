@@ -37,6 +37,9 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
+    /// The phase names, in [`PhaseNanos::iter`] order.
+    pub const NAMES: [&'static str; 4] = ["prep", "expansion", "lp", "dominance"];
+
     /// Accumulates another phase block (phase-wise sum).
     pub fn merge(&mut self, other: &PhaseNanos) {
         self.prep_ns += other.prep_ns;
@@ -48,13 +51,13 @@ impl PhaseNanos {
     /// `(name, nanos)` pairs in a stable order, for histogram recording and
     /// reports.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        [
-            ("prep", self.prep_ns),
-            ("expansion", self.expansion_ns),
-            ("lp", self.lp_ns),
-            ("dominance", self.dominance_ns),
-        ]
-        .into_iter()
+        let nanos = [
+            self.prep_ns,
+            self.expansion_ns,
+            self.lp_ns,
+            self.dominance_ns,
+        ];
+        Self::NAMES.into_iter().zip(nanos)
     }
 }
 

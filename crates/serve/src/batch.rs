@@ -234,12 +234,16 @@ pub(crate) fn run_jobs(
                 }
             }
             Verdict::Reject(err) => {
+                // Every reject frees the stamp's slots before replying, so a
+                // client holding its rejection can resubmit within its quota.
+                drop(job.stamp);
                 metrics.count(|s| s.reject(&err));
                 job.sink.reject(err);
                 continue;
             }
         }
         if let Err(err) = validate_query(engine, &job) {
+            drop(job.stamp);
             metrics.count(|s| s.reject(&err));
             job.sink.reject(err);
             continue;
@@ -255,6 +259,7 @@ pub(crate) fn run_jobs(
         })) {
             Ok(budget) => budget,
             Err(_) => {
+                drop(job.stamp);
                 metrics.count(|s| s.reject(&ServeError::QueryFailed));
                 job.sink.reject(ServeError::QueryFailed);
                 continue;

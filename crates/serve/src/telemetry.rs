@@ -18,7 +18,7 @@
 //! buffer of [`SlowQuery`] entries.
 
 use crate::stats::ServeStats;
-use kspr::{Algorithm, QueryStats, QueryTier};
+use kspr::{Algorithm, PhaseNanos, QueryStats, QueryTier};
 use kspr_telemetry::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, RequestTrace,
     Stage, StageTimings, TraceId, TraceRecord,
@@ -61,9 +61,6 @@ pub const FLIGHT_RECORDER_CAPACITY: usize = 64;
 /// gauge) grows past it, the server logs one warning per snapshot epoch
 /// suggesting a compaction.
 const WAL_WARN_BYTES: u64 = 64 << 20;
-
-/// Phase-histogram name components, in [`kspr::PhaseNanos::iter`] order.
-const PHASE_NAMES: [&str; 4] = ["prep", "expansion", "lp", "dominance"];
 
 /// Trace ids the server assigns to requests that arrive without one.  They
 /// start far above any plausible client-side counter so the two id spaces
@@ -116,8 +113,8 @@ pub(crate) struct ServeMetrics {
     /// from [`QueryStats`] — excludes queueing and batching).
     engine_wall: Arc<Histogram>,
     /// Per-engine-phase wall time (`kspr_phase_<phase>_ns`, indexed in
-    /// [`PHASE_NAMES`] order).
-    phases: [Arc<Histogram>; PHASE_NAMES.len()],
+    /// [`PhaseNanos::NAMES`] order).
+    phases: [Arc<Histogram>; PhaseNanos::NAMES.len()],
     /// Simplex pivots per exact query (`kspr_lp_pivots` — work, not time).
     lp_pivots: Arc<Histogram>,
     /// WAL commit (write + fsync) latency (`kspr_wal_commit_ns`).
@@ -175,7 +172,7 @@ impl ServeMetrics {
             );
             registry.histogram(&name)
         });
-        let phases = PHASE_NAMES.map(|phase| {
+        let phases = PhaseNanos::NAMES.map(|phase| {
             let name = format!("kspr_phase_{phase}_ns");
             registry.describe(
                 &name,
@@ -521,7 +518,7 @@ mod tests {
         stats.lp_pivots = 17;
         metrics.record_phases(&stats);
         let snap = metrics.snapshot(0);
-        for phase in PHASE_NAMES {
+        for phase in PhaseNanos::NAMES {
             let histogram = snap.histogram(&format!("kspr_phase_{phase}_ns")).unwrap();
             assert_eq!(histogram.count(), 1, "{phase}");
         }

@@ -1,11 +1,14 @@
-//! A minimal JSON reader/escaper for the observability surfaces.
+//! A minimal JSON reader/writer for the observability surfaces.
 //!
 //! The workspace builds offline (no serde), but the chrome-trace exporter,
-//! its tests, and the perf-trajectory checks all need to *consume* JSON.
-//! This is a strict recursive-descent parser over the JSON grammar — objects
-//! keep their key order, numbers are `f64` — plus the string escaper the
-//! exporters share.  It is not a streaming parser and has a fixed recursion
-//! cap; both are fine for telemetry-sized documents.
+//! the `BENCH_perf.json` emitters and the perf-trajectory checks all need
+//! JSON.  [`parse_json`] is a strict recursive-descent parser over the JSON
+//! grammar — objects keep their key order, numbers are `f64` — and
+//! [`JsonValue::render`] / [`JsonValue::render_compact`] write a value back
+//! out.  Neither streams and the parser has a fixed recursion cap; both are
+//! fine for telemetry-sized documents.
+
+use std::fmt::Write as _;
 
 /// Nesting depth past which [`parse_json`] gives up (defends the stack
 /// against adversarial `[[[[...`).
@@ -75,6 +78,120 @@ impl JsonValue {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
+    }
+
+    /// An object with `members` in the given order.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Pretty-printed JSON with a two-space indent.  A container holding
+    /// only scalars stays on one line; one holding another container puts
+    /// each member on its own line.  Non-finite numbers render as `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_into(&mut out, Some(0));
+        out
+    }
+
+    /// The same document on one line, without optional whitespace.
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.write_into(&mut out, None);
+        out
+    }
+
+    fn is_container(&self) -> bool {
+        matches!(self, JsonValue::Array(_) | JsonValue::Object(_))
+    }
+
+    /// Writes `self` at nesting `depth` (`None`: compact).
+    fn write_into(&self, out: &mut String, depth: Option<usize>) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &JsonValue)>) = match self {
+            JsonValue::Array(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            JsonValue::Object(members) => {
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                ('{', '}', members.collect())
+            }
+            JsonValue::Number(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+                return;
+            }
+            JsonValue::Null | JsonValue::Number(_) => return out.push_str("null"),
+            JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::String(s) => return quote_into(s, out),
+        };
+        let (sep, colon) = if depth.is_some() {
+            (", ", ": ")
+        } else {
+            (",", ":")
+        };
+        // Pretty-printed containers that hold containers go one member per line.
+        let lines = depth.filter(|_| members.iter().any(|(_, v)| v.is_container()));
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat("  ").take(depth));
+        };
+        out.push(open);
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(if lines.is_some() { "," } else { sep });
+            }
+            if let Some(depth) = lines {
+                newline(out, depth + 1);
+            }
+            if let Some(key) = key {
+                quote_into(key, out);
+                out.push_str(colon);
+            }
+            value.write_into(out, depth.map(|d| d + 1));
+        }
+        if let Some(depth) = lines {
+            newline(out, depth);
+        }
+        out.push(close);
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::String(s)
+    }
+}
+
+impl From<Vec<JsonValue>> for JsonValue {
+    fn from(items: Vec<JsonValue>) -> Self {
+        JsonValue::Array(items)
     }
 }
 
@@ -239,9 +356,16 @@ fn parse_number(bytes: &[u8], at: &mut usize) -> Option<JsonValue> {
         .map(JsonValue::Number)
 }
 
+/// Appends `text` to `out` as a quoted JSON string.
+fn quote_into(text: &str, out: &mut String) {
+    out.push('"');
+    escape_json_into(text, out);
+    out.push('"');
+}
+
 /// Appends `text` to `out` with JSON string escaping applied (quotes,
 /// backslashes, and control characters).
-pub fn escape_json_into(text: &str, out: &mut String) {
+fn escape_json_into(text: &str, out: &mut String) {
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -279,6 +403,35 @@ mod tests {
             doc.get("e").and_then(|v| v.as_str()),
             Some("x\n\"y\" \u{e9}")
         );
+    }
+
+    #[test]
+    fn rendering_round_trips_through_the_parser() {
+        let doc =
+            parse_json(r#"{"a": [1, -2.5, 1e3], "b": {"c": null, "d": true}, "e": "x\n\"y\" é"}"#)
+                .expect("valid document");
+        let pretty = doc.render();
+        assert_eq!(parse_json(&pretty), Some(doc.clone()));
+        assert_eq!(parse_json(&doc.render_compact()), Some(doc.clone()));
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [1, -2.5, 1000],\n  \"b\": {\"c\": null, \"d\": true},\n  \
+             \"e\": \"x\\n\\\"y\\\" é\"\n}"
+        );
+        assert_eq!(
+            doc.render_compact(),
+            r#"{"a":[1,-2.5,1000],"b":{"c":null,"d":true},"e":"x\n\"y\" é"}"#
+        );
+        assert_eq!(JsonValue::object::<&str>([]).render(), "{}");
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = JsonValue::from(vec![n.into(), 1.5.into()]);
+            assert_eq!(doc.render(), "[null, 1.5]");
+            assert_eq!(doc.render_compact(), "[null,1.5]");
+        }
     }
 
     #[test]
