@@ -45,6 +45,11 @@ impl Algorithm {
 
 /// Runs `algorithm` on `dataset` for focal record `focal` and threshold `k`.
 ///
+/// The engine built here answers this one query and is dropped, so the
+/// query skips the engine's shared-prep cache: the dataset-level band would
+/// cost more than the one query it serves.  Callers with more than one
+/// query keep a [`QueryEngine`] and call [`QueryEngine::run`].
+///
 /// # Panics
 /// Panics if `k == 0`, if the focal arity does not match the dataset, or if
 /// [`Algorithm::Rtopk`] is requested on non-2-dimensional data.
@@ -55,7 +60,7 @@ pub fn run(
     k: usize,
     config: &KsprConfig,
 ) -> KsprResult {
-    QueryEngine::new(dataset, config.clone()).run(algorithm, focal, k)
+    QueryEngine::new(dataset, config.clone()).run_once(algorithm, focal, k)
 }
 
 /// Runs `algorithm` for every focal record in parallel, with shared

@@ -55,7 +55,7 @@
 use crate::hyperplanes::HyperplaneStore;
 use crate::stats::QueryStats;
 use kspr_geometry::{ConstraintSystem, Halfspace, PreferenceSpace, Sign};
-use kspr_lp::{interior_point_counted, LinearConstraint};
+use kspr_lp::{interior_point_parts, LinearConstraint};
 use rayon::{Scope, ThreadPool};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -299,6 +299,9 @@ struct ClassifyCtx<'a> {
     use_witness: bool,
     store: &'a HyperplaneStore,
     plane: usize,
+    /// The strict constraints of the inserted plane's negative and positive
+    /// halfspaces, the last row of every feasibility test.
+    tested: [LinearConstraint; 2],
     dominator_planes: &'a HashSet<usize>,
 }
 
@@ -329,36 +332,39 @@ impl ClassifyCtx<'_> {
     }
 
     /// Runs the LP feasibility test "is `node ∩ (side of plane)` empty?" and
-    /// returns a strictly interior witness if it is not.  `lp_buf` is the
-    /// reused constraint-assembly scratch of the calling worker.
+    /// returns a strictly interior witness if it is not.
     ///
-    /// Constraints: the space boundary, the edge labels on the node's root
-    /// path (always), the cover sets on the path (only when Lemma 2 is
-    /// disabled), and the tested halfspace.
+    /// Constraints, in this order: the space boundary, the edge labels on the
+    /// node's root path (always), the cover sets on the path (only when
+    /// Lemma 2 is disabled), and the tested halfspace.  The solver reads them
+    /// where they are; nothing is copied per test.
     fn feasibility(
         &self,
         sign: Sign,
         task: &ClassifyTask,
-        lp_buf: &mut Vec<LinearConstraint>,
         out: &mut ClassifyOut,
     ) -> Option<Vec<f64>> {
-        lp_buf.clear();
-        lp_buf.extend_from_slice(self.boundary);
-        lp_buf.extend_from_slice(&task.path_strict);
-        if !self.use_lemma2 {
-            lp_buf.extend_from_slice(&task.cover_strict);
-        }
-        lp_buf.push(self.store.plane(self.plane).constraint(sign, true));
+        let cover: &[LinearConstraint] = if self.use_lemma2 {
+            &[]
+        } else {
+            &task.cover_strict
+        };
+        let tested = match sign {
+            Sign::Negative => &self.tested[0],
+            Sign::Positive => &self.tested[1],
+        };
         out.feasibility_tests += 1;
-        out.lp_constraints += task.path_strict.len()
-            + if self.use_lemma2 {
-                0
-            } else {
-                task.cover_strict.len()
-            }
-            + 1;
+        out.lp_constraints += task.path_strict.len() + cover.len() + 1;
         let started = std::time::Instant::now();
-        let (solution, pivots) = interior_point_counted(lp_buf, self.space.work_dim());
+        let (solution, pivots) = interior_point_parts(
+            &[
+                self.boundary,
+                &task.path_strict,
+                cover,
+                std::slice::from_ref(tested),
+            ],
+            self.space.work_dim(),
+        );
         out.lp_ns += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         out.lp_pivots += pivots;
         solution.map(|s| s.point)
@@ -374,7 +380,6 @@ fn classify_task(
     ctx: &ClassifyCtx<'_>,
     mut task: ClassifyTask,
     out: &mut ClassifyOut,
-    lp_buf: &mut Vec<LinearConstraint>,
     fork: &mut dyn FnMut(ClassifyTask),
 ) {
     loop {
@@ -435,7 +440,7 @@ fn classify_task(
         let mut witness_positive: Option<Vec<f64>> = None;
 
         if case1_possible {
-            match ctx.feasibility(Sign::Negative, &task, lp_buf, out) {
+            match ctx.feasibility(Sign::Negative, &task, out) {
                 None => {
                     // Case I: the node lies entirely inside h⁺.
                     out.steps.push((
@@ -455,7 +460,7 @@ fn classify_task(
             }
         }
         if case2_possible {
-            match ctx.feasibility(Sign::Positive, &task, lp_buf, out) {
+            match ctx.feasibility(Sign::Positive, &task, out) {
                 None => {
                     // Case II: the node lies entirely inside h⁻.
                     out.steps.push((
@@ -524,26 +529,18 @@ fn classify_task(
     }
 }
 
-/// Shared state of one parallel classification: the read-only view, the
-/// merged output, and a pool of per-worker LP scratch buffers (checked out
-/// per task, so a worker reuses one buffer across the tasks it executes).
+/// Shared state of one parallel classification: the read-only view and the
+/// merged output.
 struct ParallelClassify<'a> {
     ctx: ClassifyCtx<'a>,
     collected: Mutex<ClassifyOut>,
-    scratch: Mutex<Vec<Vec<LinearConstraint>>>,
 }
 
 /// Runs one classification task on the pool, spawning forked subtasks onto
 /// the same scope.
 fn run_classify<'s>(shared: &'s ParallelClassify<'_>, scope: &Scope<'s>, task: ClassifyTask) {
-    let mut lp_buf = shared
-        .scratch
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop()
-        .unwrap_or_default();
     let mut out = ClassifyOut::default();
-    classify_task(&shared.ctx, task, &mut out, &mut lp_buf, &mut |forked| {
+    classify_task(&shared.ctx, task, &mut out, &mut |forked| {
         scope.spawn(move |scope| run_classify(shared, scope, forked));
     });
     shared
@@ -551,11 +548,6 @@ fn run_classify<'s>(shared: &'s ParallelClassify<'_>, scope: &Scope<'s>, task: C
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .absorb(&mut out);
-    shared
-        .scratch
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(lp_buf);
 }
 
 /// The incremental arrangement index of Section 4.
@@ -589,8 +581,6 @@ pub struct CellTree {
     live_leaves: RefCell<Vec<(usize, u32)>>,
     /// Reused decision-map scratch for the apply phase.
     steps: HashMap<usize, NodeStep>,
-    /// Reused LP-assembly scratch for sequential insertion.
-    lp_scratch: Vec<LinearConstraint>,
 }
 
 impl CellTree {
@@ -611,7 +601,6 @@ impl CellTree {
             use_witness,
             live_leaves: RefCell::new(vec![(0, 0)]),
             steps: HashMap::new(),
-            lp_scratch: Vec::new(),
         }
     }
 
@@ -927,6 +916,8 @@ impl CellTree {
             use_witness: self.use_witness,
             store,
             plane,
+            tested: [Sign::Negative, Sign::Positive]
+                .map(|sign| store.plane(plane).constraint(sign, true)),
             dominator_planes,
         }
     }
@@ -946,27 +937,23 @@ impl CellTree {
         dominator_planes: &HashSet<usize>,
         stats: &mut QueryStats,
     ) {
-        let mut lp_buf = std::mem::take(&mut self.lp_scratch);
         let mut out = ClassifyOut::default();
         {
             let ctx = self.classify_ctx(store, plane, dominator_planes);
             let mut stack = vec![ClassifyTask::root(self.root)];
             while let Some(task) = stack.pop() {
-                classify_task(&ctx, task, &mut out, &mut lp_buf, &mut |forked| {
-                    stack.push(forked)
-                });
+                classify_task(&ctx, task, &mut out, &mut |forked| stack.push(forked));
             }
         }
-        self.lp_scratch = lp_buf;
         self.finish_insert(plane, out, stats);
     }
 
     /// Like [`CellTree::insert`], but classifying independent subtrees
-    /// concurrently on `pool`'s work-stealing workers (with per-worker LP
-    /// scratch).  The decisions are applied in the same deterministic
-    /// depth-first order as the sequential path, so the resulting tree —
-    /// node indices, live-leaf order, witnesses, statistics — is
-    /// bit-for-bit identical to what [`CellTree::insert`] produces.
+    /// concurrently on `pool`'s work-stealing workers.  The decisions are
+    /// applied in the same deterministic depth-first order as the sequential
+    /// path, so the resulting tree — node indices, live-leaf order,
+    /// witnesses, statistics — is bit-for-bit identical to what
+    /// [`CellTree::insert`] produces.
     pub fn insert_parallel(
         &mut self,
         store: &HyperplaneStore,
@@ -979,7 +966,6 @@ impl CellTree {
             let shared = ParallelClassify {
                 ctx: self.classify_ctx(store, plane, dominator_planes),
                 collected: Mutex::new(ClassifyOut::default()),
-                scratch: Mutex::new(Vec::new()),
             };
             let root = self.root;
             pool.scope(|scope| run_classify(&shared, scope, ClassifyTask::root(root)));

@@ -7,7 +7,12 @@
 //! 1. preprocess the dataset against the focal record (Section 3.1) — and,
 //!    for bound-using policies, restrict the competitors to their
 //!    `k_effective`-skyband so the look-ahead bounds read an update-stable
-//!    aggregate tree (see `restrict_to_witness_skyband`),
+//!    aggregate tree.  With the engine's cached [`SharedPrep`] this is
+//!    *band-first* ([`crate::prep::prepare_from_band`]): after the columnar
+//!    classification of every live record, only members of the dataset-level
+//!    k-skyband are materialized and tested, and their dominator lists
+//!    decide the cut; without it the full competitor set is cut
+//!    ([`crate::prep::restrict_to_witness_skyband`]),
 //! 2. insert batches of record hyperplanes into the [`CellTree`],
 //! 3. optionally prune / report cells early with look-ahead rank bounds,
 //! 4. optionally report cells with the pivot test of Lemma 5 and derive the
@@ -22,11 +27,12 @@
 //! three copies of the traversal in `algorithms.rs`; they now all route
 //! through this module.
 //!
-//! # Batched execution
+//! # Shared preprocessing and batched execution
 //!
 //! [`QueryEngine::run_batch`] answers many focal-record queries over the same
-//! dataset and `k` in parallel (one worker per core, via `rayon`), sharing
-//! the preprocessing work that does not depend on the focal record:
+//! dataset and `k` in parallel (one worker per core, via `rayon`).  It and
+//! [`QueryEngine::run`] — a batch of one — share the preprocessing work that
+//! does not depend on the focal record, cached per engine and `k`:
 //!
 //! * **R-tree reuse** — the dataset index is reference-counted and shared
 //!   with every worker; additionally, queries whose Section-3.1 filter
@@ -38,10 +44,16 @@
 //! * **Dominance graph** — the dominator lists of all skyband members are
 //!   computed once; per-query traversals translate them through the
 //!   preprocessing id mapping instead of re-deriving them pairwise.
+//! * **Band-first preparation** — LP-CTA reads its competitor band off the
+//!   dataset-level one (step 1 above) instead of cutting it from every
+//!   competitor.
 //!
-//! All three shortcuts are result-preserving: `run_batch` returns exactly
-//! what [`QueryEngine::run`] returns for each focal record individually
-//! (`tests/batch_consistency.rs` in the umbrella crate asserts this).
+//! All of these shortcuts are result-preserving: a shared-prep query returns
+//! exactly what the same query prepared from the full dataset returns
+//! (`tests/batch_consistency.rs`, `tests/band_first_consistency.rs` and the
+//! warmed-engine rows of `tests/engine_golden.rs` in the umbrella crate
+//! assert this).  Only the free one-shot functions of
+//! [`crate::algorithms`] skip the cache: their engine serves one query.
 //!
 //! # Dynamic datasets
 //!
@@ -56,9 +68,10 @@
 //!   the band for `k' <= k` is exactly the members with fewer than `k'`
 //!   dominators, so one computed band serves every smaller `k` through
 //!   [`SharedPrep::view_for`].
-//! * [`QueryEngine::run_batch`] on an unchanged dataset therefore performs
-//!   **zero** shared-prep recomputations; the
-//!   [`QueryEngine::shared_prep_computes`] counter asserts this in tests.
+//! * [`QueryEngine::run`] and [`QueryEngine::run_batch`] on an unchanged
+//!   dataset therefore perform **zero** shared-prep recomputations after the
+//!   first query of a `k`; the [`QueryEngine::shared_prep_computes`] counter
+//!   asserts this in tests.
 
 use crate::algorithms::Algorithm;
 use crate::bounds::{rank_bounds, BoundDecision};
@@ -67,7 +80,9 @@ use crate::config::KsprConfig;
 use crate::dataset::{Dataset, DatasetStore};
 use crate::hyperplanes::HyperplaneStore;
 use crate::maxrank::run_imaxrank;
-use crate::prep::{prepare_with_index, FilteredQuery, Prepared};
+use crate::prep::{
+    prepare_from_band, prepare_with_index, restrict_to_witness_skyband, FilteredQuery, Prepared,
+};
 use crate::result::{KsprResult, Region};
 use crate::rtopk::run_rtopk;
 use crate::stats::QueryStats;
@@ -75,7 +90,7 @@ use kspr_geometry::hyperplane::Hyperplane;
 use kspr_geometry::{Halfspace, PlaneKind, PreferenceSpace, Sign};
 use kspr_spatial::{
     bbs_skyline, dominates, k_skyband, k_skyband_live, k_skyband_restricted, skyline_excluding,
-    AggregateRTree, DominanceGraph, Record, RecordId,
+    DominanceGraph, RecordId,
 };
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -91,8 +106,8 @@ use std::sync::{Arc, Mutex};
 pub struct PreparedQuery<'a> {
     /// The filtered competitor set (Section 3.1 preprocessing output).
     pub filtered: &'a FilteredQuery,
-    /// Batch-shared preprocessing, when running under
-    /// [`QueryEngine::run_batch`].
+    /// The engine's cached shared preprocessing for this `k`, when the
+    /// policy reads it ([`ExpansionPolicy::uses_shared_prep`]).
     pub shared: Option<&'a SharedPrep>,
     /// The original (pre-preprocessing) rank threshold `k`.
     pub k: usize,
@@ -127,10 +142,10 @@ pub trait ExpansionPolicy: Sync {
         false
     }
 
-    /// Can this policy exploit batch-shared preprocessing?  When it cannot
+    /// Can this policy exploit the shared preprocessing?  When it cannot
     /// (e.g. plain CTA expands everything in dataset order and never consults
-    /// the skyband or the dominance graph), [`QueryEngine::run_batch`] skips
-    /// computing [`SharedPrep`] altogether.
+    /// the skyband or the dominance graph), the engine neither computes nor
+    /// fetches a [`SharedPrep`] for its queries.
     fn uses_shared_prep(&self) -> bool {
         self.use_dominance()
     }
@@ -245,16 +260,19 @@ pub fn policy_for(algorithm: Algorithm) -> Option<Box<dyn ExpansionPolicy>> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-shared preprocessing
+// Shared preprocessing
 // ---------------------------------------------------------------------------
 
-/// Focal-independent preprocessing shared by every query of a batch.
+/// Focal-independent preprocessing shared by every query of one `k`, single
+/// ([`QueryEngine::run`]) or batched ([`QueryEngine::run_batch`]).
 ///
 /// All contents depend only on the dataset and `k`, never on a focal record,
 /// so sharing them cannot change any query's result.  Instances live in the
 /// engine's per-`k` cache and are **maintained incrementally** across
 /// updates ([`SharedPrep::apply_insert`] / [`SharedPrep::apply_delete`])
-/// rather than recomputed per batch.
+/// rather than recomputed per query.  LP-CTA prepares straight from the band
+/// ([`crate::prep::prepare_from_band`]); P-CTA and LP-CTA read member
+/// dominator lists from the graph; the skyband baseline scans only members.
 #[derive(Debug, Clone)]
 pub struct SharedPrep {
     k: usize,
@@ -485,10 +503,10 @@ impl PrepCache {
 /// ]);
 /// let mut engine = QueryEngine::new(&dataset, KsprConfig::default());
 ///
-/// // One query ...
+/// // One query (it computes and caches the shared preprocessing for k = 3) ...
 /// let single = engine.run(Algorithm::LpCta, &[0.5, 0.5, 0.7], 3);
 ///
-/// // ... or many at once, in parallel, with shared preprocessing.
+/// // ... or many at once, in parallel, reusing it.
 /// let focals = vec![vec![0.5, 0.5, 0.7], vec![0.6, 0.6, 0.5]];
 /// let batch = engine.run_batch(Algorithm::LpCta, &focals, 3);
 /// assert_eq!(batch[0].num_regions(), single.num_regions());
@@ -660,20 +678,16 @@ impl QueryEngine {
     /// This is the shard-aware entry point used by the `kspr-serve` front-end:
     /// each shard exposes its (incrementally patched) band through this method
     /// and the serving layer merges the per-shard bands into a global
-    /// candidate set.  Served from the per-`k` cache; computes at most once
-    /// per (dataset epoch, `k`).
-    pub fn shared_prep_for(&self, k: usize) -> Arc<SharedPrep> {
-        assert!(k >= 1, "k must be at least 1");
-        self.shared_prep(k)
-    }
-
-    /// Fetches (or computes) the shared prep for rank threshold `k`.
+    /// candidate set.  Every query of a band-reading policy fetches its band
+    /// here too, and warming it before a timed loop keeps the computation
+    /// out of the first query.
     ///
     /// Cache discipline: an exact-`k` hit is free; a larger cached band
     /// serves `k` through an `O(band)` view; only a genuinely larger `k`
     /// recomputes (and the old primary is retired into the view map, staying
-    /// servable).
-    fn shared_prep(&self, k: usize) -> Arc<SharedPrep> {
+    /// servable).  So it computes at most once per (dataset epoch, `k`).
+    pub fn shared_prep_for(&self, k: usize) -> Arc<SharedPrep> {
+        assert!(k >= 1, "k must be at least 1");
         let mut cache = self.lock_cache();
         // Updates patch the cache synchronously, so a stale epoch can only be
         // seen if the store was swapped out from under us; drop everything.
@@ -704,24 +718,54 @@ impl QueryEngine {
         }
     }
 
+    /// The cached shared prep `policy` reads for rank threshold `k`, or
+    /// `None` when the policy reads none (CTA, the sweep baselines).
+    fn shared_for(
+        &self,
+        policy: Option<&dyn ExpansionPolicy>,
+        k: usize,
+    ) -> Option<Arc<SharedPrep>> {
+        policy
+            .filter(|policy| policy.uses_shared_prep())
+            .map(|_| self.shared_prep_for(k))
+    }
+
     /// Runs one kSPR query.
+    ///
+    /// The query reads the engine's cached [`SharedPrep`] for `k` exactly as
+    /// a member of [`QueryEngine::run_batch`] does, so it is a batch of one:
+    /// the first query of a `k` computes the band (unless
+    /// [`QueryEngine::shared_prep_for`] warmed it), later ones reuse it.
     ///
     /// # Panics
     /// Panics if `k == 0`, if the focal arity does not match the dataset, or
     /// if [`Algorithm::Rtopk`] is requested on non-2-dimensional data.
     pub fn run(&self, algorithm: Algorithm, focal: &[f64], k: usize) -> KsprResult {
+        let shared = self.shared_for(policy_for(algorithm).as_deref(), k);
+        self.run_shared(algorithm, focal, k, shared.as_deref(), 1)
+    }
+
+    /// Runs one kSPR query without reading or filling the shared-prep cache.
+    ///
+    /// For an engine that answers a single query and is then dropped (the
+    /// free functions of [`crate::algorithms`]): computing the dataset-level
+    /// band costs more than the one query it would serve.  Results equal
+    /// [`QueryEngine::run`]'s.
+    pub(crate) fn run_once(&self, algorithm: Algorithm, focal: &[f64], k: usize) -> KsprResult {
         self.run_shared(algorithm, focal, k, None, 1)
     }
 
-    /// Runs one kSPR query under an explicit expansion policy.
+    /// Runs one kSPR query under an explicit expansion policy (sharing the
+    /// cached prep like [`QueryEngine::run`]).
     pub fn run_with_policy(
         &self,
         policy: &dyn ExpansionPolicy,
         focal: &[f64],
         k: usize,
     ) -> KsprResult {
+        let shared = self.shared_for(Some(policy), k);
         let clock = std::time::Instant::now();
-        let mut result = self.run_policy(policy, focal, k, None, 1);
+        let mut result = self.run_policy(policy, focal, k, shared.as_deref(), 1);
         result.stats.wall_time_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
         result
     }
@@ -738,9 +782,7 @@ impl QueryEngine {
         focals: &[Vec<f64>],
         k: usize,
     ) -> Vec<KsprResult> {
-        let shared = policy_for(algorithm)
-            .filter(|policy| policy.uses_shared_prep())
-            .map(|_| self.shared_prep(k));
+        let shared = self.shared_for(policy_for(algorithm).as_deref(), k);
         // The batch fans one query out per core, so each member's intra-query
         // worker grant is resolved against the batch width.
         let concurrent = focals.len().max(1);
@@ -758,7 +800,7 @@ impl QueryEngine {
         focals: &[Vec<f64>],
         k: usize,
     ) -> Vec<KsprResult> {
-        let shared = policy.uses_shared_prep().then(|| self.shared_prep(k));
+        let shared = self.shared_for(Some(policy), k);
         let concurrent = focals.len().max(1);
         focals
             .par_iter()
@@ -810,13 +852,31 @@ impl QueryEngine {
             |clock: &std::time::Instant| u64::try_from(clock.elapsed().as_nanos()).unwrap_or(0);
 
         // Step 1: Section 3.1 preprocessing (with dataset-index reuse).
-        let filtered = match prepare_with_index(
-            self.store.dataset(),
-            focal,
-            k,
-            self.config.rtree_fanout,
-            &mut stats,
-        ) {
+        // Look-ahead bounds read the competitor R-tree's aggregates, so for
+        // bound-using policies the competitor set is restricted to its
+        // k_effective-skyband (sound by the same Lemma 6 argument as the
+        // skyband baseline: a record with `k_effective` dominators among the
+        // competitors never outscores the focal record inside a result cell,
+        // so dropping it preserves every reported region and rank).  Beyond
+        // shrinking the bound tree, this makes the *decomposition* of a
+        // bound-using run invariant under updates of witnessed records — a
+        // record with `k` live dominators sits outside the restricted set
+        // both before and after its insert or delete, and cannot move any
+        // other record across the skyband boundary (its own dominators
+        // transitively dominate everything it dominates).  The standing-query
+        // monitor's cell-wise LP-CTA patching rests on exactly this
+        // invariance.  With the dataset-level band at hand the restricted set
+        // is read off it directly (band-first); otherwise it is cut from the
+        // full competitor set.  Both yield the same query.
+        let fanout = self.config.rtree_fanout;
+        let band = shared.filter(|band| policy.use_rank_bounds() && band.k() == k);
+        let prepared = match band {
+            Some(band) => {
+                prepare_from_band(self.store.dataset(), band, focal, k, fanout, &mut stats)
+            }
+            None => prepare_with_index(self.store.dataset(), focal, k, fanout, &mut stats),
+        };
+        let filtered = match prepared {
             Prepared::Empty { .. } => {
                 stats.phases.prep_ns += elapsed_ns(&prep_clock);
                 return KsprResult::empty(space, stats);
@@ -829,26 +889,10 @@ impl QueryEngine {
                 }
                 return result;
             }
+            Prepared::Filtered(f) if policy.use_rank_bounds() && band.is_none() => {
+                restrict_to_witness_skyband(f, fanout)
+            }
             Prepared::Filtered(f) => f,
-        };
-        // Look-ahead bounds read the competitor R-tree's aggregates, so for
-        // bound-using policies the competitor set is first restricted to its
-        // k_effective-skyband (sound by the same Lemma 6 argument as the
-        // skyband baseline: a record with `k_effective` dominators among the
-        // competitors never outscores the focal record inside a result cell,
-        // so dropping it preserves every reported region and rank).  Beyond
-        // shrinking the bound tree, this makes the *decomposition* of a
-        // bound-using run invariant under updates of witnessed records — a
-        // record with `k` live dominators sits outside the restricted set
-        // both before and after its insert or delete, and cannot move any
-        // other record across the skyband boundary (its own dominators
-        // transitively dominate everything it dominates).  The standing-query
-        // monitor's cell-wise LP-CTA patching rests on exactly this
-        // invariance.
-        let filtered = if policy.use_rank_bounds() {
-            restrict_to_witness_skyband(filtered, self.config.rtree_fanout, shared, k)
-        } else {
-            filtered
         };
         stats.phases.prep_ns += elapsed_ns(&prep_clock);
 
@@ -905,53 +949,6 @@ impl QueryEngine {
         let mut result = traversal.finish();
         result.stats.phases.expansion_ns += elapsed_ns(&expansion_clock);
         result
-    }
-}
-
-/// Restricts a filtered competitor set to its `k_effective`-skyband, the
-/// stable core that bound-using policies (LP-CTA) traverse and bound against.
-///
-/// When batch-shared preprocessing for the same `k` is available the scan is
-/// restricted to the precomputed dataset-level band (the membership argument
-/// of [`SkybandPolicy::initial_batch`]); the output is identical either way,
-/// so single runs and batch members produce bit-identical results.  When
-/// nothing is pruned the prepared query (and its possibly-shared tree) is
-/// passed through untouched.
-fn restrict_to_witness_skyband(
-    filtered: FilteredQuery,
-    fanout: usize,
-    shared: Option<&SharedPrep>,
-    k: usize,
-) -> FilteredQuery {
-    let mut keep = match shared {
-        Some(s) if s.k() == k => {
-            k_skyband_restricted(&filtered.records, filtered.k_effective, |id| {
-                s.in_skyband(filtered.original_ids[id])
-            })
-        }
-        _ => k_skyband(&filtered.records, filtered.k_effective),
-    };
-    if keep.len() == filtered.records.len() {
-        return filtered;
-    }
-    // The band scan emits decreasing coordinate-sum order; re-id ascending so
-    // `original_ids` stays sorted (its binary-search invariant).
-    keep.sort_unstable();
-    let records: Vec<Record> = keep
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| Record::new(i, filtered.records[id].values.clone()))
-        .collect();
-    let original_ids: Vec<usize> = keep.iter().map(|&id| filtered.original_ids[id]).collect();
-    let tree = Arc::new(AggregateRTree::bulk_load(records.clone(), fanout));
-    let io_base = tree.io().reads();
-    FilteredQuery {
-        records,
-        original_ids,
-        tree,
-        k_effective: filtered.k_effective,
-        dominators: filtered.dominators,
-        io_base,
     }
 }
 
@@ -1072,12 +1069,13 @@ impl<'a> Traversal<'a> {
     /// The planes of the already-processed dominators of record `id` — the
     /// "dominance graph" lookup backing the Lemma 4/5 insertion shortcut.
     ///
-    /// In batch mode the dominator list of a skyband member comes from the
-    /// precomputed [`SharedPrep`] adjacency (translated through the
-    /// preprocessing id mapping); otherwise it is derived pairwise against
-    /// the processed records, which reproduces the incremental dominance
-    /// graph P-CTA maintains (Invariant 1 guarantees dominators are processed
-    /// before the records they dominate, so both derivations agree).
+    /// With the engine's shared prep the dominator list of a skyband member
+    /// comes from the precomputed [`SharedPrep`] adjacency (translated
+    /// through the preprocessing id mapping); otherwise it is derived
+    /// pairwise against the processed records, which reproduces the
+    /// incremental dominance graph P-CTA maintains (Invariant 1 guarantees
+    /// dominators are processed before the records they dominate, so both
+    /// derivations agree).
     fn dominator_planes_of(&self, id: RecordId, values: &[f64]) -> HashSet<usize> {
         if let Some(shared) = self.shared {
             let original = self.filtered.original_ids[id];
@@ -1501,6 +1499,43 @@ mod tests {
         // CTA does not consult the shared prep at all.
         engine.run_batch(Algorithm::Cta, &focals, 5);
         assert_eq!(engine.shared_prep_computes(), 2);
+    }
+
+    #[test]
+    fn steady_state_runs_never_recompute_shared_prep() {
+        let (dataset, _, focal) = figure1();
+
+        // A warmed engine computes nothing on `run`, for its k or a smaller
+        // one, under any band-reading policy.
+        let warmed = QueryEngine::new(&dataset, KsprConfig::default());
+        warmed.shared_prep_for(3);
+        assert_eq!(warmed.shared_prep_computes(), 1);
+        for alg in [Algorithm::LpCta, Algorithm::Pcta, Algorithm::KSkyband] {
+            warmed.run(alg, &focal, 3);
+            warmed.run(alg, &focal, 2);
+        }
+        warmed.run_with_policy(&ProgressivePolicy::lpcta(), &focal, 3);
+        assert_eq!(
+            warmed.shared_prep_computes(),
+            1,
+            "a warmed run is a cache hit"
+        );
+
+        // A cold engine computes once, on its first run.
+        let cold = QueryEngine::new(&dataset, KsprConfig::default());
+        cold.run(Algorithm::LpCta, &focal, 3);
+        assert_eq!(cold.shared_prep_computes(), 1, "first run computes");
+        cold.run(Algorithm::LpCta, &focal, 3);
+        cold.run(Algorithm::Pcta, &focal, 1);
+        cold.run_batch(Algorithm::LpCta, std::slice::from_ref(&focal), 3);
+        assert_eq!(cold.shared_prep_computes(), 1);
+
+        // CTA and the sweep baselines never read the band.
+        let cta = QueryEngine::new(&dataset, KsprConfig::default());
+        cta.run(Algorithm::Cta, &focal, 3);
+        cta.run(Algorithm::IMaxRank, &focal, 3);
+        cta.run_with_policy(&CtaPolicy, &focal, 3);
+        assert_eq!(cta.shared_prep_computes(), 0);
     }
 
     #[test]

@@ -7,10 +7,17 @@
 //! outright.  The remaining records are re-indexed in a query-local aggregate
 //! R-tree used by the skyline batching of P-CTA and the group bounds of
 //! LP-CTA.
+//!
+//! Bound-using policies (LP-CTA) traverse only the `k_effective`-skyband of
+//! the competitors (Lemma 6).  [`prepare_from_band`] reads that band off the
+//! dataset-level k-skyband of a [`SharedPrep`] without materializing the
+//! other competitors; [`restrict_to_witness_skyband`] derives the same set
+//! from a full [`prepare_with_index`] output when no band is at hand.
 
 use crate::dataset::Dataset;
+use crate::engine::SharedPrep;
 use crate::stats::QueryStats;
-use kspr_spatial::{dominates, AggregateRTree, DomClass, Record};
+use kspr_spatial::{dominates, k_skyband, AggregateRTree, DomClass, Record, RecordId};
 use std::sync::Arc;
 
 /// Outcome of preprocessing a query.
@@ -171,30 +178,181 @@ fn prepare_impl(
     if kept.is_empty() {
         return Prepared::WholeSpace { dominators };
     }
+    Prepared::Filtered(filtered_query(
+        kept,
+        original_ids,
+        dataset,
+        fanout,
+        k - dominators,
+        dominators,
+    ))
+}
+
+/// The Section 3.1 preprocessing of a bound-using policy, read off the
+/// dataset-level k-skyband: the same [`Prepared`] that
+/// [`prepare_with_index`] followed by [`restrict_to_witness_skyband`]
+/// returns, without materializing competitors outside the band.
+///
+/// The columnar classification still sweeps every live record, so the
+/// dominator, dominated and tie counts (and with them the `Empty` and
+/// `WholeSpace` outcomes) are exact.  Only band members incomparable to the
+/// focal record are then considered.  That loses nothing: a competitor with
+/// fewer than `k_effective` dominators among the competitors has fewer than
+/// `k` in the dataset (its other dominators all dominate the focal record
+/// too), so it is a band member.  A member is kept iff fewer than
+/// `k_effective` of its dominators are competitors, which the band answers
+/// exactly because every dominator of a member is itself a member and
+/// [`SharedPrep::dominators_of`] lists all of them.
+///
+/// # Panics
+/// Panics if `k == 0`, if `band` was computed for another `k`, or if
+/// `focal` does not match the dataset arity.
+pub fn prepare_from_band(
+    dataset: &Dataset,
+    band: &SharedPrep,
+    focal: &[f64],
+    k: usize,
+    fanout: usize,
+    stats: &mut QueryStats,
+) -> Prepared {
+    assert!(k >= 1, "k must be at least 1");
+    assert_eq!(
+        band.k(),
+        k,
+        "the band must be the k-skyband of the query's k"
+    );
+    assert_eq!(
+        dataset.dim(),
+        focal.len(),
+        "focal record arity must match the dataset"
+    );
+
+    let mut classes: Vec<DomClass> = Vec::new();
+    stats.phases.dominance_ns += dataset.columns().classify_into_timed(focal, &mut classes);
+    let (mut dominators, mut dominated, mut competitors) = (0usize, 0usize, 0usize);
+    for (id, class) in classes.iter().enumerate() {
+        if !dataset.is_live(id) {
+            continue;
+        }
+        match class {
+            DomClass::Tie => {}
+            DomClass::Dominates => dominators += 1,
+            DomClass::Dominated => dominated += 1,
+            DomClass::Incomparable => competitors += 1,
+        }
+    }
+    stats.dominating_records = dominators;
+    stats.dominated_records = dominated;
+
+    if dominators >= k {
+        return Prepared::Empty { dominators };
+    }
+    if competitors == 0 {
+        return Prepared::WholeSpace { dominators };
+    }
+    let k_effective = k - dominators;
+    // Band members are live, and so are their dominators.
+    let competes = |id: RecordId| classes[id] == DomClass::Incomparable;
+    let mut keep: Vec<RecordId> = band
+        .skyband()
+        .iter()
+        .copied()
+        .filter(|&m| {
+            competes(m)
+                && band
+                    .dominators_of(m)
+                    .expect("band member has a dominator list")
+                    .iter()
+                    .filter(|&&d| competes(d))
+                    .take(k_effective)
+                    .count()
+                    < k_effective
+        })
+        .collect();
+    keep.sort_unstable();
+    let records = keep
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| Record::new(i, dataset.records()[id].values.clone()))
+        .collect();
+    Prepared::Filtered(filtered_query(
+        records,
+        keep,
+        Some(dataset),
+        fanout,
+        k_effective,
+        dominators,
+    ))
+}
+
+/// Restricts a filtered competitor set to its `k_effective`-skyband, the
+/// stable core that bound-using policies (LP-CTA) traverse and bound against.
+///
+/// The band scan covers every competitor.  When nothing is pruned the
+/// prepared query (and its possibly-shared tree) is passed through
+/// untouched.  [`prepare_from_band`] yields the same query from the
+/// dataset-level band; the engine takes this path only where it holds no
+/// band of the query's `k`.
+pub fn restrict_to_witness_skyband(filtered: FilteredQuery, fanout: usize) -> FilteredQuery {
+    let mut keep = k_skyband(&filtered.records, filtered.k_effective);
+    if keep.len() == filtered.records.len() {
+        return filtered;
+    }
+    // The band scan emits decreasing coordinate-sum order; re-id ascending so
+    // `original_ids` stays sorted (its binary-search invariant).
+    keep.sort_unstable();
+    let records: Vec<Record> = keep
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| Record::new(i, filtered.records[id].values.clone()))
+        .collect();
+    let original_ids: Vec<usize> = keep.iter().map(|&id| filtered.original_ids[id]).collect();
+    filtered_query(
+        records,
+        original_ids,
+        None,
+        fanout,
+        filtered.k_effective,
+        filtered.dominators,
+    )
+}
+
+/// Indexes the kept competitors (`records`, re-id'd `0..`, with their
+/// ascending dataset ids) into a [`FilteredQuery`].
+fn filtered_query(
+    records: Vec<Record>,
+    original_ids: Vec<usize>,
+    dataset: Option<&Dataset>,
+    fanout: usize,
+    k_effective: usize,
+    dominators: usize,
+) -> FilteredQuery {
     let tree = match dataset {
         // Fast path: nothing was filtered out, so the filtered set *is* the
         // dataset (same records, same sequential ids — `bulk_load` asserts
         // every indexed record's id equals its position, so the dataset index
-        // can never disagree with the re-id'd `kept` vector here) and the
+        // can never disagree with the re-id'd `records` vector here) and the
         // prebuilt index can be shared as-is.  Sharing is result-preserving:
         // an index grown by incremental inserts may differ in *shape* from
         // the STR tree a rebuild would produce, which can shift traversal
         // statistics (node reads, bound tightness) but never the record set
-        // or the query result.  `kept.len() == records.len()` compares
-        // against the raw slot count, so a dataset with tombstones (where
-        // surviving ids are no longer sequential) can never take this path.
-        Some(d) if kept.len() == records.len() && d.tree().fanout() == fanout => d.shared_index(),
-        _ => Arc::new(AggregateRTree::bulk_load(kept.clone(), fanout)),
+        // or the query result.  The length comparison is against the raw
+        // slot count, so a dataset with tombstones (where surviving ids are
+        // no longer sequential) can never take this path.
+        Some(d) if records.len() == d.records().len() && d.tree().fanout() == fanout => {
+            d.shared_index()
+        }
+        _ => Arc::new(AggregateRTree::bulk_load(records.clone(), fanout)),
     };
     let io_base = tree.io().reads();
-    Prepared::Filtered(FilteredQuery {
-        records: kept,
+    FilteredQuery {
+        records,
         original_ids,
         tree,
-        k_effective: k - dominators,
+        k_effective,
         dominators,
         io_base,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -291,6 +449,62 @@ mod tests {
         } else {
             panic!("expected Filtered");
         }
+    }
+
+    #[test]
+    fn band_first_prep_shares_the_index_only_when_nothing_is_filtered() {
+        use crate::engine::SharedPrep;
+        // Pairwise-incomparable records around an incomparable focal record:
+        // every record is a competitor with no dominator, so nothing is cut
+        // and the dataset index is shared, as on the full path.
+        let dataset = Dataset::new(vec![vec![0.9, 0.1], vec![0.1, 0.9], vec![0.6, 0.35]]);
+        let fanout = AggregateRTree::DEFAULT_FANOUT;
+        let band = SharedPrep::compute(&dataset, 2);
+        match prepare_from_band(
+            &dataset,
+            &band,
+            &[0.5, 0.5],
+            2,
+            fanout,
+            &mut QueryStats::new(),
+        ) {
+            Prepared::Filtered(f) => {
+                assert!(Arc::ptr_eq(&f.tree, &dataset.shared_index()));
+                assert_eq!(f.original_ids, vec![0, 1, 2]);
+            }
+            other => panic!("expected Filtered, got {other:?}"),
+        }
+        // (0.55, 0.3) is dominated by record 2 and incomparable to the focal
+        // record: for k = 1 it is cut, so the kept records get a query-local
+        // tree, re-id'd in ascending dataset id.
+        let dataset = Dataset::new(vec![
+            vec![0.55, 0.3],
+            vec![0.9, 0.1],
+            vec![0.1, 0.9],
+            vec![0.6, 0.35],
+        ]);
+        let band = SharedPrep::compute(&dataset, 1);
+        let mut stats = QueryStats::new();
+        match prepare_from_band(&dataset, &band, &[0.5, 0.5], 1, fanout, &mut stats) {
+            Prepared::Filtered(f) => {
+                assert!(!Arc::ptr_eq(&f.tree, &dataset.shared_index()));
+                assert_eq!(f.original_ids, vec![1, 2, 3]);
+                assert!(f.records.iter().enumerate().all(|(i, r)| r.id == i));
+                assert_eq!(f.k_effective, 1);
+            }
+            other => panic!("expected Filtered, got {other:?}"),
+        }
+        assert_eq!((stats.dominating_records, stats.dominated_records), (0, 0));
+        // Outcomes decided by the counts come out as on the full path.
+        let band = SharedPrep::compute(&dataset, 1);
+        assert!(matches!(
+            prepare_from_band(&dataset, &band, &[0.05, 0.05], 1, fanout, &mut stats),
+            Prepared::Empty { dominators: 4 }
+        ));
+        assert!(matches!(
+            prepare_from_band(&dataset, &band, &[0.95, 0.95], 1, fanout, &mut stats),
+            Prepared::WholeSpace { dominators: 0 }
+        ));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod problem;
 pub mod simplex;
 
 pub use problem::{
-    interior_point, interior_point_counted, maximize, minimize, InteriorSolution, LinearConstraint,
-    LpOutcome, PreparedLp, Relation,
+    interior_point, interior_point_counted, interior_point_parts, maximize, minimize,
+    InteriorSolution, LinearConstraint, LpOutcome, PreparedLp, Relation,
 };
 pub use simplex::{solve_standard_form, solve_standard_form_counted, SimplexOutcome};
 

@@ -133,22 +133,36 @@ impl Rows for Closure<'_> {
     }
 }
 
-/// The interior-point LP of a constraint set: every row `a·w ≤ b` gains a
-/// margin column `‖a‖ t`, and a last row `t ≤ 1` keeps the LP bounded.
-struct Interior<'a>(&'a [LinearConstraint]);
+/// The interior-point LP of a constraint set, given as slices read in order
+/// as one set: every row `a·w ≤ b` gains a margin column `‖a‖ t`, and a
+/// last row `t ≤ 1` keeps the LP bounded.
+struct Interior<'a>(&'a [&'a [LinearConstraint]]);
+
+impl Interior<'_> {
+    /// Constraint `i` of the concatenated parts (`None` past the end).
+    fn constraint(&self, mut i: usize) -> Option<&LinearConstraint> {
+        for part in self.0 {
+            match part.get(i) {
+                Some(c) => return Some(c),
+                None => i -= part.len(),
+            }
+        }
+        None
+    }
+}
 
 impl Rows for Interior<'_> {
     fn count(&self) -> usize {
-        self.0.len() + 1
+        self.0.iter().map(|part| part.len()).sum::<usize>() + 1
     }
 
     fn rhs(&self, i: usize) -> f64 {
-        self.0.get(i).map_or(1.0, LinearConstraint::leq_rhs)
+        self.constraint(i).map_or(1.0, LinearConstraint::leq_rhs)
     }
 
     fn write(&self, i: usize, out: &mut [f64]) {
         let (t, w) = out.split_last_mut().expect("the margin column");
-        match self.0.get(i) {
+        match self.constraint(i) {
             Some(c) => {
                 // a·w < rhs  ->  a·w + s t ≤ rhs   where s scales the margin
                 // by the constraint norm so that the margin is geometric, not
@@ -345,11 +359,25 @@ pub fn interior_point_counted(
     constraints: &[LinearConstraint],
     num_vars: usize,
 ) -> (Option<InteriorSolution>, usize) {
-    check_arity(constraints, num_vars);
+    interior_point_parts(&[constraints], num_vars)
+}
+
+/// Like [`interior_point_counted`] for the concatenation of `parts`, read in
+/// place.  The LP has the same rows in the same order as for the
+/// concatenated vector, so the answer and the pivot count are the same bit
+/// for bit; the CellTree's feasibility tests pass the space boundary, the
+/// root path and the tested halfspace this way without copying them.
+pub fn interior_point_parts(
+    parts: &[&[LinearConstraint]],
+    num_vars: usize,
+) -> (Option<InteriorSolution>, usize) {
+    for part in parts {
+        check_arity(part, num_vars);
+    }
     // Variables: w_0 .. w_{num_vars-1}, t  (all ≥ 0); maximize t.
     let margin_objective = (0..=num_vars).map(|j| if j == num_vars { 1.0 } else { 0.0 });
     let (outcome, pivots) =
-        Workspace::with(|ws| ws.solve(num_vars + 1, &Interior(constraints), margin_objective));
+        Workspace::with(|ws| ws.solve(num_vars + 1, &Interior(parts), margin_objective));
     let solution = match outcome {
         SimplexOutcome::Optimal { mut x, objective } if objective > INTERIOR_MARGIN => {
             x.truncate(num_vars);
@@ -510,6 +538,48 @@ mod tests {
         let sol = interior_point(&cs, 2).expect("feasible");
         assert!(sol.point[0] < 0.6);
         assert!(sol.margin > 0.0);
+    }
+
+    #[test]
+    fn split_constraint_sets_solve_like_the_concatenation() {
+        let mut cs = unit_box(3);
+        cs.push(LinearConstraint::new(
+            vec![1.0, -1.0, 0.0],
+            Relation::Less,
+            0.2,
+        ));
+        cs.push(LinearConstraint::new(
+            vec![0.0, 1.0, -2.0],
+            Relation::Greater,
+            -0.4,
+        ));
+        cs.push(LinearConstraint::new(
+            vec![0.5, 0.5, 0.5],
+            Relation::Greater,
+            0.45,
+        ));
+        let whole = interior_point_counted(&cs, 3);
+        assert!(whole.0.is_some());
+        for a in 0..=cs.len() {
+            for b in a..=cs.len() {
+                let (head, rest) = cs.split_at(a);
+                let (mid, tail) = rest.split_at(b - a);
+                let split = interior_point_parts(&[head, &[], mid, tail], 3);
+                assert_eq!(split, whole, "split at {a}, {b}");
+            }
+        }
+        // An infeasible set stays infeasible however it is split.
+        cs.push(LinearConstraint::new(
+            vec![0.5, 0.5, 0.5],
+            Relation::Less,
+            0.45,
+        ));
+        let (head, tail) = cs.split_at(4);
+        assert_eq!(
+            interior_point_parts(&[head, tail], 3),
+            interior_point_counted(&cs, 3)
+        );
+        assert!(interior_point_parts(&[head, tail], 3).0.is_none());
     }
 
     #[test]

@@ -9,13 +9,21 @@
 //! fails here.  The constants are regenerated by running the test and
 //! copying the table it prints on mismatch — only for a change that is
 //! meant to alter results.
+//!
+//! The first table runs the one-shot free function `kspr::run`, which
+//! prepares every query from the full dataset.  The second runs
+//! `QueryEngine::run` on an engine whose shared prep was computed before the
+//! first query, so P-CTA reads the cached dominance graph and LP-CTA
+//! prepares from the cached dataset k-skyband; its constants were captured
+//! through `QueryEngine::run_batch`, the shared path before single queries
+//! took it, and equal the first table's rows for the same cases.
 
 use kspr_repro::datagen::generate;
 use kspr_repro::datagen::Distribution::{self, AntiCorrelated, Correlated, Independent};
 use kspr_repro::geometry::Sign;
 use kspr_repro::geometry::Space::{self, Original, Transformed};
 use kspr_repro::kspr::Algorithm::{self, Cta, LpCta, Pcta};
-use kspr_repro::kspr::{Dataset, KsprConfig, KsprResult};
+use kspr_repro::kspr::{Dataset, KsprConfig, KsprResult, QueryEngine};
 use kspr_repro::spatial::dominates;
 
 /// 64-bit FNV-1a over a stream of words.
@@ -106,7 +114,16 @@ fn focals(raw: &[Vec<f64>]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn measure(alg: Algorithm, dist: Distribution, space: Space) -> Golden {
+/// How a golden row runs its queries.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `kspr::run`: a throwaway engine per query, no shared prep.
+    OneShot,
+    /// `QueryEngine::run` on one engine with its shared prep warmed.
+    WarmedEngine,
+}
+
+fn measure(alg: Algorithm, dist: Distribution, space: Space, path: Path) -> Golden {
     let raw = generate(dist, size(dist), D, SEED);
     let focals = focals(&raw);
     assert_eq!(focals.len(), 3, "{dist:?}: too few competitive records");
@@ -119,16 +136,26 @@ fn measure(alg: Algorithm, dist: Distribution, space: Space) -> Golden {
         config.finalize,
         "the golden table covers finalized polytopes"
     );
+    let engine = QueryEngine::new(&dataset, config.clone());
+    engine.shared_prep_for(K);
     let mut f = Fingerprint::new();
     let (mut pivots, mut tests, mut bound_calls, mut hits) = (0, 0, 0, 0);
     for focal in &focals {
-        let result = kspr_repro::kspr::run(alg, &dataset, focal, K, &config);
+        let result = match path {
+            Path::OneShot => kspr_repro::kspr::run(alg, &dataset, focal, K, &config),
+            Path::WarmedEngine => engine.run(alg, focal, K),
+        };
         f.word(fingerprint(&result));
         pivots += result.stats.lp_pivots;
         tests += result.stats.feasibility_tests;
         bound_calls += result.stats.bound_lp_calls;
         hits += result.stats.witness_hits;
     }
+    assert_eq!(
+        engine.shared_prep_computes(),
+        1,
+        "warmed queries never recompute the shared prep"
+    );
     (f.0, pivots, tests, bound_calls, hits)
 }
 
@@ -164,14 +191,38 @@ const EXPECTED: [Golden; 11] = [
     (0xe4fb4d59876c6edf, 53922, 4341, 10554, 4040),
 ];
 
-#[test]
-fn engine_results_and_work_counters_match_the_golden_table() {
-    let actual: Vec<Golden> = CASES
+/// The P-CTA and LP-CTA cases of [`CASES`] on the warmed-engine path.
+const ENGINE_CASES: [(Algorithm, Distribution, Space); 8] = [
+    (Pcta, Independent, Transformed),
+    (Pcta, AntiCorrelated, Transformed),
+    (Pcta, Correlated, Transformed),
+    (LpCta, Independent, Transformed),
+    (LpCta, AntiCorrelated, Transformed),
+    (LpCta, Correlated, Transformed),
+    (LpCta, Independent, Original),
+    (LpCta, AntiCorrelated, Original),
+];
+
+/// The golden row of each entry of [`ENGINE_CASES`].
+const ENGINE_EXPECTED: [Golden; 8] = [
+    (0x2f1b18f61b143e8d, 9177, 1430, 0, 1314),
+    (0xc70b9d168365618e, 25314, 4389, 0, 4085),
+    (0x591cddf66be2b931, 1383, 256, 0, 229),
+    (0x2f1b18f61b143e8d, 9177, 1430, 1362, 1314),
+    (0xc70b9d168365618e, 25314, 4389, 4352, 4085),
+    (0x591cddf66be2b931, 1383, 256, 392, 229),
+    (0xa7c7a018e46d33fd, 14120, 1333, 5010, 1218),
+    (0xe4fb4d59876c6edf, 53922, 4341, 10554, 4040),
+];
+
+/// Runs `cases` on `path` and panics with the actual table on a mismatch.
+fn check_table(cases: &[(Algorithm, Distribution, Space)], expected: &[Golden], path: Path) {
+    let actual: Vec<Golden> = cases
         .iter()
-        .map(|&(alg, dist, space)| measure(alg, dist, space))
+        .map(|&(alg, dist, space)| measure(alg, dist, space, path))
         .collect();
-    if actual != EXPECTED {
-        for ((case, a), e) in CASES.iter().zip(&actual).zip(&EXPECTED) {
+    if actual != expected {
+        for ((case, a), e) in cases.iter().zip(&actual).zip(expected) {
             if a != e {
                 eprintln!("{case:?}: expected {e:?}, got {a:?}");
             }
@@ -180,6 +231,16 @@ fn engine_results_and_work_counters_match_the_golden_table() {
             .iter()
             .map(|(f, p, t, b, h)| format!("    ({f:#018x}, {p}, {t}, {b}, {h}),\n"))
             .collect();
-        panic!("golden table mismatch; actual table:\n{table}");
+        panic!("{path:?} golden table mismatch; actual table:\n{table}");
     }
+}
+
+#[test]
+fn engine_results_and_work_counters_match_the_golden_table() {
+    check_table(&CASES, &EXPECTED, Path::OneShot);
+}
+
+#[test]
+fn warmed_engine_runs_match_the_golden_table() {
+    check_table(&ENGINE_CASES, &ENGINE_EXPECTED, Path::WarmedEngine);
 }
